@@ -1,8 +1,10 @@
 """Minimal reverse-mode autodiff on numpy arrays.
 
-Everything runs in float64. A Tensor wraps an ndarray and remembers how it
-was produced; calling backward() on a scalar Tensor fills .grad on every
-reachable leaf. No graph reuse: build, backward, throw away.
+A Tensor wraps an ndarray and remembers how it was produced; calling
+backward() on a scalar Tensor fills .grad on every reachable leaf. No graph
+reuse: build, backward, throw away. A Tensor keeps a floating input's dtype
+and a Python-scalar operand takes its Tensor's dtype, so a float32 forward
+stays float32; training feeds float64 and runs in float64.
 """
 
 from __future__ import annotations
@@ -10,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats: a numpy float64 scalar would promote float32 operands (NEP 50)
+_SQRT2 = float(np.sqrt(2.0))
+_INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -31,7 +34,8 @@ class Tensor:
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, value, requires_grad: bool = False):
-        self.value = np.asarray(value, dtype=np.float64)
+        value = np.asarray(value)
+        self.value = value if value.dtype.kind == "f" else value.astype(np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -49,7 +53,7 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.value.shape)
+        grad = _unbroadcast(np.asarray(grad, dtype=self.value.dtype), self.value.shape)
         if self.grad is None:
             self.grad = grad.copy()
         else:
@@ -90,7 +94,7 @@ class Tensor:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = ensure_tensor(other)
+        other = ensure_tensor(other, self)
         def bwd(g, a=self, b=other):
             if a.requires_grad:
                 a._accumulate(g)
@@ -106,13 +110,13 @@ class Tensor:
         return Tensor._make(-self.value, (self,), bwd)
 
     def __sub__(self, other):
-        return self + (-ensure_tensor(other))
+        return self + (-ensure_tensor(other, self))
 
     def __rsub__(self, other):
-        return ensure_tensor(other) + (-self)
+        return ensure_tensor(other, self) + (-self)
 
     def __mul__(self, other):
-        other = ensure_tensor(other)
+        other = ensure_tensor(other, self)
         def bwd(g, a=self, b=other):
             if a.requires_grad:
                 a._accumulate(g * b.value)
@@ -123,7 +127,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = ensure_tensor(other)
+        other = ensure_tensor(other, self)
         def bwd(g, a=self, b=other):
             if a.requires_grad:
                 a._accumulate(g / b.value)
@@ -132,7 +136,7 @@ class Tensor:
         return Tensor._make(self.value / other.value, (self, other), bwd)
 
     def __rtruediv__(self, other):
-        return ensure_tensor(other) / self
+        return ensure_tensor(other, self) / self
 
     def __pow__(self, exponent: float):
         def bwd(g, a=self, e=exponent):
@@ -140,7 +144,7 @@ class Tensor:
         return Tensor._make(np.power(self.value, exponent), (self,), bwd)
 
     def __matmul__(self, other):
-        other = ensure_tensor(other)
+        other = ensure_tensor(other, self)
         def bwd(g, a=self, b=other):
             av, bv = a.value, b.value
             if a.requires_grad:
@@ -229,8 +233,14 @@ class Tensor:
         return Tensor._make(x * phi, (self,), bwd)
 
 
-def ensure_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def ensure_tensor(x, like: Tensor | None = None) -> Tensor:
+    """`x` as a Tensor. A Python scalar meeting `like` takes its dtype: as a
+    0-d float64 array it would promote a float32 graph to float64."""
+    if isinstance(x, Tensor):
+        return x
+    if like is not None and isinstance(x, (int, float)):
+        return Tensor(np.asarray(x, dtype=like.value.dtype))
+    return Tensor(x)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

@@ -67,6 +67,7 @@ class KindSummary:
 
 
 def env_metadata(workers: int = 1) -> dict:
+    """Run environment; the h2l/emd ratio moves with the BLAS thread count."""
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
@@ -74,6 +75,8 @@ def env_metadata(workers: int = 1) -> dict:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "workers": workers,
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
     }
 
 

@@ -77,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--json", help="summary JSON path (default: OUT + .json)")
     b.add_argument("--reps", type=int)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--workers", type=int, default=1)
 
     x = sub.add_parser("explain", help="cross-correlation heatmaps for one pair")
     x.add_argument("--gallery", required=True)

@@ -5,9 +5,10 @@ P^2+1 = SEP, P^2+2 .. 2P^2+1 = image b. Every incoming token (including CLS
 and SEP) is multiplied by the learnable projection E before positional
 embeddings are added.
 
-Two forward paths exist: an autodiff path (used by the trainer, gradient
-checks and the single-pair scoring API) and a numpy-only batched scorer with
-gallery-side caching for the re-ranking hot loop. A test pins them equal.
+One forward serves every caller. `h2l_features` runs on autodiff Tensors: the
+trainer and the gradient checks run it in float64 with gradients, and
+`H2LScorer` runs it in float32 without, to re-rank a query against a batch of
+candidates.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.special import erf
 
-from .autograd import Tensor, concat, softmax as softmax_t
-from .nn_core import LayerParams, encoder_layer_t, layer_norm_t, softmax
+from .autograd import Tensor, concat
+from .nn_core import LayerParams, encoder_layer_t, layer_norm_t
 from .records import FaceRecord
 
 _WEIGHT_MAGIC = b"FVWT"
@@ -207,7 +207,7 @@ def assemble_tokens_batch(
     batch = patches_a.shape[0]
     pa = Tensor(patches_a) @ e
     pb = Tensor(patches_b) @ e
-    ones = Tensor(np.ones((batch, 1, 1)))
+    ones = Tensor(np.ones((batch, 1, 1), dtype=e.value.dtype))
     cls_row = ones * (p["cls_token"] @ e).reshape(1, 1, cfg.dim)
     sep_row = ones * (p["sep_token"] @ e).reshape(1, 1, cfg.dim)
     z0 = concat([cls_row, pa, sep_row, pb], axis=1)
@@ -352,7 +352,7 @@ def h1_embed_batch(w: ModelWeights, patches: np.ndarray,
     e = p["token_proj"]
     batch = patches.shape[0]
     pa = Tensor(patches) @ e
-    ones = Tensor(np.ones((batch, 1, 1)))
+    ones = Tensor(np.ones((batch, 1, 1), dtype=e.value.dtype))
     cls_row = ones * (p["cls_token"] @ e).reshape(1, 1, cfg.dim)
     z0 = concat([cls_row, pa], axis=1)
     if add_pos:
@@ -371,159 +371,40 @@ def embed_single_h1(a: FaceRecord, w: ModelWeights) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batched numpy scorer (re-ranking hot path)
+# batched re-ranking
 # ---------------------------------------------------------------------------
 
-def _np_layer_norm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    c = x - mu
-    var = (c * c).mean(axis=-1, keepdims=True)
-    return c / np.sqrt(var + _LN_EPS) * g + b
-
-
-# Abramowitz & Stegun 7.1.26 erf coefficients, |error| < 1.5e-7
-_ERF_P = np.float32(0.3275911)
-_ERF_A = tuple(np.float32(a) for a in
-               (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429))
-_F32_HALF = np.float32(0.5)
-_F32_ONE = np.float32(1.0)
-_F32_INV_SQRT2 = np.float32(1.0 / np.sqrt(2.0))
-
-
-def _np_gelu(x):
-    if x.dtype == np.float64:
-        return x * (0.5 * (1.0 + erf(x / np.sqrt(2.0))))
-    # f32 hot path: rational erf approximation, error far below f32 score noise
-    z = np.abs(x) * _F32_INV_SQRT2
-    t = _F32_ONE / (_F32_ONE + _ERF_P * z)
-    a1, a2, a3, a4, a5 = _ERF_A
-    poly = t * (a1 + t * (a2 + t * (a3 + t * (a4 + t * a5))))
-    erf_abs = _F32_ONE - poly * np.exp(-z * z)
-    return x * (_F32_HALF * (_F32_ONE + np.copysign(erf_abs, x)))
-
-
 class H2LScorer:
-    """Forward-only H2L pair scorer that batches a query against many gallery
-    candidates and caches the pair-independent work (token projection,
-    positional add, and first-layer LN/Q/K/V of the gallery-side block).
+    """Forward-only H2L scoring of one query against a batch of gallery
+    candidates through `h2l_features`.
 
-    Defaults to float32 compute: the training/gradient paths stay float64,
+    Defaults to float32 compute: training and gradient checks stay float64,
     but this inference hot loop is GEMM-bound and f32 roughly halves its
     wall-clock at a per-score error around 1e-5, far below the score gaps
-    that matter for ranking."""
+    that matter for ranking. The weights are cast once, here."""
 
     def __init__(self, w: ModelWeights, add_pos: bool = True, dtype=np.float32):
         _require_variant(w.config, Variant.H2L)
-        self.w = w
-        self.cfg = w.config
         self.add_pos = add_pos
         self.dtype = np.dtype(dtype)
-        self.p = {k: v.astype(self.dtype) for k, v in w.params.items()}
-        self.buf = {k: v.astype(self.dtype) for k, v in w.buffers.items()}
-        cfg = self.cfg
-        e = self.p["token_proj"]
-        pos = (self.p["pos_embed"] if add_pos
-               else np.zeros_like(self.p["pos_embed"]))
-        self._cls_row = self.p["cls_token"] @ e + pos[0]
-        self._sep_row = self.p["sep_token"] @ e + pos[cfg.n_patches + 1]
-        self._pos_a = pos[1:cfg.n_patches + 1]
-        self._pos_b = pos[cfg.n_patches + 2:]
-        self._b_cache: dict[int, dict[str, np.ndarray]] = {}
-
-    def _project_a(self, patches: np.ndarray) -> np.ndarray:
-        return patches.astype(self.dtype) @ self.p["token_proj"] + self._pos_a
-
-    def _project_b(self, patches: np.ndarray) -> np.ndarray:
-        return patches.astype(self.dtype) @ self.p["token_proj"] + self._pos_b
-
-    def _layer0_qkv(self, rows: np.ndarray) -> dict[str, np.ndarray]:
-        p = self.p
-        ln = _np_layer_norm(rows, p["layers.0.ln1_g"], p["layers.0.ln1_b"])
-        return {
-            "z": rows,
-            "q": ln @ p["layers.0.wq"] + p["layers.0.bq"],
-            "k": ln @ p["layers.0.wk"] + p["layers.0.bk"],
-            "v": ln @ p["layers.0.wv"] + p["layers.0.bv"],
-        }
-
-    def _gallery_side(self, key: int, patches: np.ndarray) -> dict[str, np.ndarray]:
-        cached = self._b_cache.get(key)
-        if cached is None:
-            cached = self._layer0_qkv(self._project_b(patches))
-            self._b_cache[key] = cached
-        return cached
+        self.w = ModelWeights(w.config,
+                              {k: v.astype(self.dtype) for k, v in w.params.items()},
+                              {k: v.astype(self.dtype) for k, v in w.buffers.items()})
+        self.p = params_to_tensors(self.w)
 
     def score_against(self, query: FaceRecord, candidates: list[tuple[int, FaceRecord]]) -> np.ndarray:
-        """Scores of (query, candidate) pairs; candidates are (cache_key, record)."""
-        cfg, p = self.cfg, self.p
+        """Scores of (query, candidate) pairs; candidates are (key, record)
+        and the key is not used. Raises ValueError on a non-finite score."""
+        cfg = self.w.config
         _check_patches(query, cfg)
-        n, d = cfg.n_patches, cfg.dim
-        t_len = 2 * n + 2
-        batch = len(candidates)
-
-        a_rows = np.concatenate(
-            [self._cls_row[None], self._project_a(query.patches), self._sep_row[None]], axis=0)
-        a_side = self._layer0_qkv(a_rows)  # (n+2, .)
-        b_sides = [self._gallery_side(key, rec.patches) for key, rec in candidates]
-
-        def stack(part: str) -> np.ndarray:
-            a = np.broadcast_to(a_side[part], (batch,) + a_side[part].shape)
-            b = np.stack([s[part] for s in b_sides])
-            return np.concatenate([a, b], axis=1)  # (B, T, .)
-
-        z = stack("z")
-        h, d_h, di = cfg.heads, cfg.head_dim, cfg.inner_dim
-
-        def heads_view(x):
-            return x.reshape(batch, t_len, h, d_h).transpose(0, 2, 1, 3)
-
-        q, k, v = heads_view(stack("q")), heads_view(stack("k")), heads_view(stack("v"))
-        scale = self.dtype.type(1.0 / np.sqrt(d_h))
-        attn = softmax(q @ k.transpose(0, 1, 3, 2) * scale, axis=-1)
-        mixed = (attn @ v).transpose(0, 2, 1, 3).reshape(batch, t_len, di)
-        z = z + mixed @ p["layers.0.wo"] + p["layers.0.bo"]
-        z = z + self._mlp(z, 0)
-        for i in range(1, cfg.depth):
-            z = self._full_layer(z, i)
-
-        z1 = z[:, 1:n + 1, :].reshape(batch, n * d)
-        z2 = z[:, n + 2:, :].reshape(batch, n * d)
-        f1 = self._head(z1, "1")
-        f2 = self._head(z2, "2")
-        f1 = f1.astype(np.float64)
-        f2 = f2.astype(np.float64)
-        dots = np.einsum("bi,bi->b", f1, f2)
-        norms = np.linalg.norm(f1, axis=1) * np.linalg.norm(f2, axis=1)
-        return dots / norms
-
-    def _mlp(self, z, i):
-        p = self.p
-        ln = _np_layer_norm(z, p[f"layers.{i}.ln2_g"], p[f"layers.{i}.ln2_b"])
-        hid = _np_gelu(ln @ p[f"layers.{i}.w1"] + p[f"layers.{i}.b1"])
-        return hid @ p[f"layers.{i}.w2"] + p[f"layers.{i}.b2"]
-
-    def _full_layer(self, z, i):
-        cfg, p = self.cfg, self.p
-        batch, t_len = z.shape[0], z.shape[1]
-        h, d_h, di = cfg.heads, cfg.head_dim, cfg.inner_dim
-        ln = _np_layer_norm(z, p[f"layers.{i}.ln1_g"], p[f"layers.{i}.ln1_b"])
-
-        def proj(tag):
-            x = ln @ p[f"layers.{i}.w{tag}"] + p[f"layers.{i}.b{tag}"]
-            return x.reshape(batch, t_len, h, d_h).transpose(0, 2, 1, 3)
-
-        q, k, v = proj("q"), proj("k"), proj("v")
-        attn = softmax(q @ k.transpose(0, 1, 3, 2) * self.dtype.type(1.0 / np.sqrt(d_h)), axis=-1)
-        mixed = (attn @ v).transpose(0, 2, 1, 3).reshape(batch, t_len, di)
-        z = z + mixed @ p[f"layers.{i}.wo"] + p[f"layers.{i}.bo"]
-        return z + self._mlp(z, i)
-
-    def _head(self, flat, tag):
-        p, buf = self.p, self.buf
-        x = flat @ p[f"head.lin{tag}_w"] + p[f"head.lin{tag}_b"]
-        x = (x - buf[f"head.bn{tag}_mean"]) / np.sqrt(buf[f"head.bn{tag}_var"] + self.dtype.type(_BN_EPS))
-        x = x * p[f"head.bn{tag}_g"] + p[f"head.bn{tag}_b"]
-        return _np_layer_norm(x, p["head.ln_g"], p["head.ln_b"])
+        patches_b = np.stack([rec.patches for _, rec in candidates], dtype=self.dtype)
+        patches_a = np.broadcast_to(query.patches.astype(self.dtype), patches_b.shape)
+        f1, f2, _ = h2l_features(self.w, patches_a, patches_b, p=self.p, add_pos=self.add_pos)
+        f1, f2 = f1.value.astype(np.float64), f2.value.astype(np.float64)
+        scores = np.einsum("bi,bi->b", f1, f2) / (np.linalg.norm(f1, axis=1) * np.linalg.norm(f2, axis=1))
+        if not np.all(np.isfinite(scores)):
+            raise ValueError("non-finite H2L score")
+        return scores
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Dense neural primitives: layer norm, multi-head attention, MLP, gradient checking.
 
-All compute is float64. Each primitive exists in two forms: a Tensor form
-(suffix _t) that participates in reverse-mode autodiff, and a plain-numpy
-wrapper for forward-only callers.
+Each primitive (suffix _t) takes and returns autodiff Tensors and computes in
+the dtype of its inputs: float64 for training and gradient checks, float32 for
+the re-ranking forward.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def multi_head_attention_t(tokens: Tensor, p: LayerParams) -> tuple[Tensor, np.n
     k = split_heads(tokens @ ensure_tensor(p.wk) + ensure_tensor(p.bk))
     v = split_heads(tokens @ ensure_tensor(p.wv) + ensure_tensor(p.bv))
 
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(d_h))
+    scores = (q @ k.swapaxes(-1, -2)) * float(1.0 / np.sqrt(d_h))
     attn = softmax_t(scores, axis=-1)
     mixed = attn @ v  # (..., heads, T, d_h)
     merged = mixed.swapaxes(-3, -2).reshape(lead + (t_len, d_inner))
@@ -114,33 +114,6 @@ def encoder_layer_t(z: Tensor, p: LayerParams, eps: float = 1e-6) -> tuple[Tenso
     z = z + attn_out
     z = z + mlp_block_t(layer_norm_t(z, p.ln2_g, p.ln2_b, eps), p)
     return z, attn
-
-
-# ---------------------------------------------------------------------------
-# forward-only wrappers
-# ---------------------------------------------------------------------------
-
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    return layer_norm_t(Tensor(x), gamma, beta, eps).value
-
-
-def mlp_block(x: np.ndarray, p: LayerParams) -> np.ndarray:
-    return mlp_block_t(Tensor(x), p).value
-
-
-def multi_head_attention(tokens: np.ndarray, p: LayerParams) -> tuple[np.ndarray, np.ndarray]:
-    out, attn = multi_head_attention_t(Tensor(tokens), p)
-    return out.value, attn
-
-
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def gelu(x: np.ndarray) -> np.ndarray:
-    return Tensor(x).gelu().value
 
 
 # ---------------------------------------------------------------------------

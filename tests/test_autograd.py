@@ -28,7 +28,7 @@ def check_op(op, x, tol=1e-6):
     np.testing.assert_allclose(t.grad, num, rtol=tol, atol=tol)
 
 
-@pytest.mark.parametrize("op", [
+UNARY_OPS = [
     lambda t: t + 2.0,
     lambda t: 3.0 - t,
     lambda t: t * t,
@@ -45,10 +45,20 @@ def check_op(op, x, tol=1e-6):
     lambda t: t.swapaxes(0, 1),
     lambda t: softmax(t, axis=1),
     lambda t: log_softmax(t, axis=0),
-])
+]
+
+
+@pytest.mark.parametrize("op", UNARY_OPS)
 def test_unary_op_gradients(op):
     rng = np.random.default_rng(0)
     check_op(op, rng.standard_normal((2, 3)))
+
+
+@pytest.mark.parametrize("op", UNARY_OPS)
+def test_unary_op_keeps_f32_without_grad(op):
+    # Python-scalar operands must not promote an f32 forward to f64 (NEP 50)
+    x = np.random.default_rng(0).standard_normal((2, 3)).astype(np.float32)
+    assert op(Tensor(x)).value.dtype == np.float32
 
 
 def test_matmul_gradients():

@@ -80,7 +80,10 @@ def test_summary_json_drops_raw_rows(tmp_path):
     assert "rows" not in text and '"slopes"' in text
 
 
-def test_env_metadata_fields():
+def test_env_metadata_fields(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     meta = env_metadata(workers=3)
     assert meta["workers"] == 3
     assert {"python", "numpy", "platform", "cpu_count"} <= set(meta)
+    assert meta["OPENBLAS_NUM_THREADS"] == "1" and meta["OMP_NUM_THREADS"] is None

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from facevit.model import (H2LScorer, ModelConfig, Variant, VariantError,
-                           WeightFormatError, assemble_tokens, buffer_shapes,
+from facevit.model import (H2LScorer, ModelConfig, ModelWeights, Variant,
+                           VariantError, WeightFormatError, assemble_tokens, buffer_shapes,
                            cosine, embed_single_h1, h2l_features,
                            h2l_meanpool_features, init_random, load_weights,
                            param_shapes, params_to_tensors, save_weights,
@@ -92,8 +92,19 @@ def test_scorer_matches_autodiff_path():
     batch = scorer.score_against(q.records[0], cands)
     ref = np.array([score_pair_h2l(q.records[0], r, w)[0] for _, r in cands])
     np.testing.assert_allclose(batch, ref, atol=1e-10)
-    # second call hits the gallery-side cache and must agree exactly
+    # a second call over the same candidates must agree exactly
     np.testing.assert_array_equal(scorer.score_against(q.records[0], cands), batch)
+
+
+def test_h2l_features_keep_f32():
+    w = init_random(toy_cfg(depth=1), 3)
+    w32 = ModelWeights(w.config, {k: v.astype(np.float32) for k, v in w.params.items()},
+                       {k: v.astype(np.float32) for k, v in w.buffers.items()})
+    g, _ = toy_data()
+    pa = g.records[0].patches[None].astype(np.float32)
+    pb = g.records[1].patches[None].astype(np.float32)
+    f1, f2, _ = h2l_features(w32, pa, pb)
+    assert f1.value.dtype == np.float32 and f2.value.dtype == np.float32
 
 
 def test_scorer_f32_mode_close_to_f64():

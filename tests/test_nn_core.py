@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from facevit.autograd import Tensor
-from facevit.nn_core import (LayerParams, encoder_layer_t, gelu, grad_check,
-                             layer_norm, mlp_block, multi_head_attention, softmax)
+from facevit.autograd import Tensor, softmax
+from facevit.nn_core import (LayerParams, encoder_layer_t, grad_check, layer_norm_t,
+                             mlp_block_t, multi_head_attention_t)
 
 
 def make_layer(rng, d=8, heads=2, m=16):
@@ -24,7 +24,7 @@ def make_layer(rng, d=8, heads=2, m=16):
 def test_layer_norm_moments(d, rows):
     rng = np.random.default_rng(d * 31 + rows)
     x = rng.standard_normal((rows, d)) * 5 + 2
-    out = layer_norm(x, np.ones(d), np.zeros(d))
+    out = layer_norm_t(x, np.ones(d), np.zeros(d)).value
     np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-10)
     np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-4)
 
@@ -32,23 +32,23 @@ def test_layer_norm_moments(d, rows):
 def test_layer_norm_affine_params_applied():
     x = np.random.default_rng(0).standard_normal((3, 4))
     g, b = np.full(4, 2.0), np.full(4, 7.0)
-    base = layer_norm(x, np.ones(4), np.zeros(4))
-    np.testing.assert_allclose(layer_norm(x, g, b), base * 2.0 + 7.0, atol=1e-12)
+    base = layer_norm_t(x, np.ones(4), np.zeros(4)).value
+    np.testing.assert_allclose(layer_norm_t(x, g, b).value, base * 2.0 + 7.0, atol=1e-12)
 
 
 def test_layer_norm_rejects_bad_eps_and_shapes():
     x = np.zeros((2, 4))
     with pytest.raises(ValueError):
-        layer_norm(x, np.ones(4), np.zeros(4), eps=0.0)
+        layer_norm_t(x, np.ones(4), np.zeros(4), eps=0.0)
     with pytest.raises(ValueError):
-        layer_norm(x, np.ones(3), np.zeros(4))
+        layer_norm_t(x, np.ones(3), np.zeros(4))
 
 
 def test_attention_rows_are_distributions():
     rng = np.random.default_rng(1)
     p = make_layer(rng)
     tokens = rng.standard_normal((5, 8))
-    out, attn = multi_head_attention(tokens, p)
+    out, attn = multi_head_attention_t(tokens, p)
     assert out.shape == (5, 8)
     assert attn.shape == (2, 5, 5)
     np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
@@ -61,9 +61,9 @@ def test_attention_token_permutation_equivariance():
     p = make_layer(rng)
     tokens = rng.standard_normal((6, 8))
     perm = rng.permutation(6)
-    out1, _ = multi_head_attention(tokens, p)
-    out2, _ = multi_head_attention(tokens[perm], p)
-    np.testing.assert_allclose(out2, out1[perm], atol=1e-10)
+    out1, _ = multi_head_attention_t(tokens, p)
+    out2, _ = multi_head_attention_t(tokens[perm], p)
+    np.testing.assert_allclose(out2.value, out1.value[perm], atol=1e-10)
 
 
 def test_attention_rejects_non_finite_and_mismatched_input():
@@ -71,17 +71,17 @@ def test_attention_rejects_non_finite_and_mismatched_input():
     p = make_layer(rng)
     bad = np.full((4, 8), np.nan)
     with pytest.raises(ValueError):
-        multi_head_attention(bad, p)
+        multi_head_attention_t(bad, p)
     with pytest.raises(ValueError):
-        multi_head_attention(np.zeros((4, 7)), p)
+        multi_head_attention_t(np.zeros((4, 7)), p)
 
 
 def test_mlp_block_matches_manual_composition():
     rng = np.random.default_rng(4)
     p = make_layer(rng)
     x = rng.standard_normal((3, 8))
-    manual = gelu(x @ p.w1 + p.b1) @ p.w2 + p.b2
-    np.testing.assert_allclose(mlp_block(x, p), manual, atol=1e-12)
+    manual = Tensor(x @ p.w1 + p.b1).gelu().value @ p.w2 + p.b2
+    np.testing.assert_allclose(mlp_block_t(x, p).value, manual, atol=1e-12)
 
 
 def test_encoder_layer_has_residual_on_both_sublayers():
@@ -98,7 +98,7 @@ def test_encoder_layer_has_residual_on_both_sublayers():
 
 
 def test_softmax_wrapper_stable_at_large_logits():
-    out = softmax(np.array([[1000.0, 1000.0, -1000.0]]))
+    out = softmax(Tensor(np.array([[1000.0, 1000.0, -1000.0]]))).value
     np.testing.assert_allclose(out, [[0.5, 0.5, 0.0]], atol=1e-12)
 
 

@@ -124,6 +124,20 @@ def test_h2l_reranker_runs_and_keeps_shortlist_on_top():
     assert res.flagged == 0
 
 
+def test_h2l_non_finite_score_is_flagged():
+    # patches this large are finite in f32 (and in an FVEB file) but overflow
+    # the forward; only the poisoned candidate may fall back to stage 1
+    g, q = toy_data()
+    g.records[4].patches = np.full_like(g.records[4].patches, 1e20)
+    cfg = PipelineConfig(k=len(g), alpha=0.7, reranker=Reranker.H2L, weights=h2l_weights())
+    with np.errstate(all="ignore"):
+        res = run_query(q.records[0], g, cfg)
+    assert res.flagged == 1
+    poisoned = np.flatnonzero(res.order == 4)
+    assert np.isnan(res.stage2[poisoned]).all()
+    assert np.isfinite(np.delete(res.stage2, poisoned)).all()
+
+
 def test_no_normalize_mode_blends_raw_scores():
     g, q = toy_data()
     cfg = PipelineConfig(k=3, alpha=1.0, reranker=Reranker.EMD, normalize=False)
