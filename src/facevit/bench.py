@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import H2LScorer, ModelConfig, ModelWeights, Variant, init_random
 from .pipeline import EmdSettings, PipelineConfig, Reranker, stage1_rank, stage2_rerank
-from .records import Occlusion, SynthConfig, generate_synthetic
+from .records import Occlusion, QuerySet, SynthConfig, generate_synthetic
 
 WARMUP_QUERIES = 2
 MIN_REPS = 5
@@ -135,7 +135,7 @@ def run_wallclock(n_patches: int = 64, d: int = 512, k: int = 100, reps: int = 1
     per_id = -(-k // n_identities)  # ceil so the gallery covers the shortlist
     qpi = -(-(reps + WARMUP_QUERIES) // n_identities)
     gallery, queries = make_bench_data(n_patches, d, n_identities, per_id, qpi, seed)
-    queries.records = queries.records[:reps + WARMUP_QUERIES]
+    queries = QuerySet(records=queries.records[:reps + WARMUP_QUERIES])
     if weights is None:
         weights = _default_weights(n_patches, d, depth, heads, seed)
 
@@ -181,7 +181,7 @@ def run_scaling(ns=(16, 64, 256), d: int = 64, k: int = 8, reps: int = 5,
         if n not in SCALING_ITERS:
             raise ValueError(f"no fixed Sinkhorn budget for n={n}")
         gallery, queries = make_bench_data(n, d, 4, -(-k // 4), -(-(reps + WARMUP_QUERIES) // 4), seed)
-        queries.records = queries.records[:reps + WARMUP_QUERIES]
+        queries = QuerySet(records=queries.records[:reps + WARMUP_QUERIES])
         weights = _default_weights(n, d, depth, heads, seed)
         for kind in ("h2l", "emd"):
             fixed = SCALING_ITERS[n] if kind == "emd" else None

@@ -394,17 +394,20 @@ class H2LScorer:
 
     def score_against(self, query: FaceRecord, candidates: list[tuple[int, FaceRecord]]) -> np.ndarray:
         """Scores of (query, candidate) pairs; candidates are (key, record)
-        and the key is not used. Raises ValueError on a non-finite score."""
+        and the key is not used. A pair whose score is not finite (a record
+        that overflows the f32 forward) scores NaN; the other pairs of the
+        batch are unaffected, since the forward mixes no data across pairs."""
         cfg = self.w.config
         _check_patches(query, cfg)
         patches_b = np.stack([rec.patches for _, rec in candidates], dtype=self.dtype)
         patches_a = np.broadcast_to(query.patches.astype(self.dtype), patches_b.shape)
-        f1, f2, _ = h2l_features(self.w, patches_a, patches_b, p=self.p, add_pos=self.add_pos)
-        f1, f2 = f1.value.astype(np.float64), f2.value.astype(np.float64)
-        scores = np.einsum("bi,bi->b", f1, f2) / (np.linalg.norm(f1, axis=1) * np.linalg.norm(f2, axis=1))
-        if not np.all(np.isfinite(scores)):
-            raise ValueError("non-finite H2L score")
-        return scores
+        # every non-finite score is returned as NaN, so the overflow and
+        # invalid-value warnings on the way there carry no information
+        with np.errstate(over="ignore", invalid="ignore"):
+            f1, f2, _ = h2l_features(self.w, patches_a, patches_b, p=self.p, add_pos=self.add_pos)
+            f1, f2 = f1.value.astype(np.float64), f2.value.astype(np.float64)
+            scores = np.einsum("bi,bi->b", f1, f2) / (np.linalg.norm(f1, axis=1) * np.linalg.norm(f2, axis=1))
+        return np.where(np.isfinite(scores), scores, np.nan)
 
 
 # ---------------------------------------------------------------------------

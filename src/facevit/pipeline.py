@@ -65,15 +65,13 @@ class RankingResult:
 
 def stage1_rank(q: FaceRecord, g: Gallery) -> tuple[np.ndarray, np.ndarray]:
     """Indices and cosine scores over the whole gallery, best first; ties break
-    by gallery index ascending."""
+    by gallery index ascending. One GEMV against the gallery's image column."""
     if len(g) == 0:
         raise ValueError("empty gallery")
-    mat = np.stack([r.image_vec for r in g.records])
-    norms = np.linalg.norm(mat, axis=1)
     qn = np.linalg.norm(q.image_vec)
-    if qn == 0.0 or np.any(norms == 0.0):
+    if qn == 0.0 or np.any(g.image_norms == 0.0):
         raise ValueError("zero-norm image embedding")
-    scores = (mat @ q.image_vec) / (norms * qn)
+    scores = (g.images @ q.image_vec) / (g.image_norms * qn)
     order = np.lexsort((np.arange(len(g)), -scores))
     return order, scores[order]
 
@@ -87,8 +85,9 @@ def _minmax(x: np.ndarray) -> np.ndarray:
 
 def _stage2_scores(q: FaceRecord, g: Gallery, shortlist: np.ndarray,
                    cfg: PipelineConfig, scorer: H2LScorer | None) -> tuple[np.ndarray, int]:
+    """Stage-2 scores of the shortlist and the number flagged: a candidate
+    whose reranker call raised or gave a non-finite score is NaN and flagged."""
     scores = np.full(len(shortlist), np.nan)
-    flagged = 0
     if cfg.reranker is Reranker.EMD:
         for pos, j in enumerate(shortlist):
             try:
@@ -97,18 +96,21 @@ def _stage2_scores(q: FaceRecord, g: Gallery, shortlist: np.ndarray,
                     max_iters=cfg.emd.max_iters, tol=cfg.emd.tol,
                     fixed_iters=cfg.emd.fixed_iters)
             except (ValueError, ArithmeticError):
-                flagged += 1
+                pass
     elif cfg.reranker is Reranker.H2L:
         candidates = [(int(j), g.records[j]) for j in shortlist]
         try:
             scores[:] = scorer.score_against(q, candidates)
         except (ValueError, ArithmeticError):
-            for pos, (j, rec) in enumerate(candidates):
+            # the forward raised for the whole batch: find the candidates it raises on
+            for pos, cand in enumerate(candidates):
                 try:
-                    scores[pos] = scorer.score_against(q, [(j, rec)])[0]
+                    scores[pos] = scorer.score_against(q, [cand])[0]
                 except (ValueError, ArithmeticError):
-                    flagged += 1
-    return scores, flagged
+                    pass
+    bad = ~np.isfinite(scores)
+    scores[bad] = np.nan
+    return scores, int(bad.sum())
 
 
 def stage2_rerank(q: FaceRecord, g: Gallery, stage1_order: np.ndarray,
@@ -152,10 +154,10 @@ def stage2_rerank(q: FaceRecord, g: Gallery, stage1_order: np.ndarray,
         stage2 = np.concatenate([s2[resort], np.full(n - k, np.nan)])
         stage1_sorted = np.concatenate([stage1_scores[:k][resort], stage1_scores[k:]])
         return RankingResult(query_index, q.identity, final_order, stage1_sorted,
-                             stage2, blended, g.records[final_order[0]].identity, flagged)
+                             stage2, blended, int(g.identities[final_order[0]]), flagged)
 
     return RankingResult(query_index, q.identity, final_order, stage1_scores.copy(),
-                         stage2, blended, g.records[final_order[0]].identity, flagged)
+                         stage2, blended, int(g.identities[final_order[0]]), flagged)
 
 
 def run_query(q: FaceRecord, g: Gallery, cfg: PipelineConfig,
@@ -202,12 +204,10 @@ class EvalReport:
 
 
 def query_metrics(result: RankingResult, g: Gallery) -> QueryMetrics | None:
-    counts = g.id_counts
-    r = counts.get(result.query_identity, 0)
+    r = g.id_counts.get(result.query_identity, 0)
     if r == 0:
         return None
-    rel = np.array([g.records[j].identity == result.query_identity
-                    for j in result.order], dtype=np.float64)
+    rel = (g.identities[result.order] == result.query_identity).astype(np.float64)
     prefix = np.cumsum(rel)
     ranks = np.arange(1, len(rel) + 1)
     p_at_i = prefix / ranks
@@ -253,10 +253,10 @@ def results_to_csv(results: list[RankingResult], g: Gallery, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(_RESULT_FIELDS)
         for res in results:
-            for rank, (j, s1, s2, b) in enumerate(
-                    zip(res.order, res.stage1, res.stage2, res.blended)):
+            for rank, (j, gid, s1, s2, b) in enumerate(
+                    zip(res.order, g.identities[res.order], res.stage1, res.stage2, res.blended)):
                 writer.writerow([res.query_index, res.query_identity, rank, int(j),
-                                 g.records[j].identity, f"{s1:.10g}",
+                                 int(gid), f"{s1:.10g}",
                                  "" if np.isnan(s2) else f"{s2:.10g}", f"{b:.10g}"])
 
 

@@ -8,9 +8,14 @@ occluded queries whose masked grid rows carry no identity signal.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import IntEnum
+from types import MappingProxyType
 
 import numpy as np
 
@@ -52,26 +57,32 @@ def occluded_patch_indices(occlusion: Occlusion, grid: int = DEFAULT_GRID) -> np
     return np.array([r * grid + c for r in rows for c in range(grid)], dtype=np.int64)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FaceRecord:
+    """One face; read-only once built, so the columns of a RecordSet cannot
+    drift from the records they were built from."""
     identity: int
     image_vec: np.ndarray  # (D,)
     patches: np.ndarray    # (grid^2, D), row-major over the grid
     occlusion: Occlusion = Occlusion.NONE
 
     def __post_init__(self):
-        self.image_vec = np.asarray(self.image_vec, dtype=np.float64)
-        self.patches = np.asarray(self.patches, dtype=np.float64)
+        # read-only views: the caller's own arrays keep their flags
+        image_vec = np.asarray(self.image_vec, dtype=np.float64).view()
+        patches = np.asarray(self.patches, dtype=np.float64).view()
+        image_vec.flags.writeable = patches.flags.writeable = False
+        object.__setattr__(self, "image_vec", image_vec)
+        object.__setattr__(self, "patches", patches)
         if self.identity < 0:
             raise ValueError("identity must be non-negative")
-        if self.image_vec.ndim != 1 or self.patches.ndim != 2:
+        if image_vec.ndim != 1 or patches.ndim != 2:
             raise ValueError("image_vec must be 1-D and patches 2-D")
-        if self.patches.shape[1] != self.image_vec.shape[0]:
+        if patches.shape[1] != image_vec.shape[0]:
             raise ValueError("patches and image_vec dimension mismatch")
-        g = int(round(np.sqrt(self.patches.shape[0])))
-        if g * g != self.patches.shape[0]:
+        g = math.isqrt(patches.shape[0])
+        if g * g != patches.shape[0]:
             raise ValueError("patch count must be a square grid")
-        if not (np.all(np.isfinite(self.image_vec)) and np.all(np.isfinite(self.patches))):
+        if not (np.isfinite(image_vec).all() and np.isfinite(patches).all()):
             raise ValueError("non-finite embedding values")
 
     @property
@@ -84,19 +95,36 @@ class FaceRecord:
 
     @property
     def grid(self) -> int:
-        return int(round(np.sqrt(self.patches.shape[0])))
+        return math.isqrt(self.patches.shape[0])
 
 
-@dataclass
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class RecordSet:
-    records: list[FaceRecord] = field(default_factory=list)
+    """Records of one shape, read-only, with columns built once here:
+    `identities` (N,), the image matrix `images` (N, D), its row norms
+    `image_norms` (N,) and `id_counts` (identity -> number of records)."""
+    records: tuple[FaceRecord, ...] = ()
+    identities: np.ndarray = field(init=False, repr=False)
+    images: np.ndarray = field(init=False, repr=False)
+    image_norms: np.ndarray = field(init=False, repr=False)
+    id_counts: Mapping[int, int] = field(init=False, repr=False)
 
-    @property
-    def id_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for r in self.records:
-            counts[r.identity] = counts.get(r.identity, 0) + 1
-        return counts
+    def __post_init__(self):
+        records = tuple(self.records)
+        if len({r.patches.shape for r in records}) > 1:
+            raise ValueError("mixed record shapes in one set")
+        ids = [r.identity for r in records]
+        images = np.stack([r.image_vec for r in records]) if records else np.zeros((0, 0))
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "identities", _read_only(np.array(ids, dtype=np.int64)))
+        object.__setattr__(self, "images", _read_only(images))
+        object.__setattr__(self, "image_norms", _read_only(np.linalg.norm(images, axis=1)))
+        object.__setattr__(self, "id_counts", MappingProxyType(Counter(ids)))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -172,18 +200,18 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Gallery, QuerySet]:
     base = np.random.default_rng([seed, _BASE_TAG]).standard_normal((p2, cfg.dim))
     occluder = base + beta * np.random.default_rng([seed, _OCCLUDER_TAG]).standard_normal((p2, cfg.dim))
 
-    gallery = Gallery()
-    queries = QuerySet()
+    gallery: list[FaceRecord] = []
+    query_ids: list[int] = []
     query_noisy: list[np.ndarray] = []
     for k in range(cfg.n_identities):
         rng = np.random.default_rng([seed, k])
         protos = base + beta * rng.standard_normal((p2, cfg.dim))
         for _ in range(cfg.records_per_identity):
             noisy = protos + sigma * rng.standard_normal((p2, cfg.dim))
-            gallery.records.append(_make_record(k, noisy, Occlusion.NONE))
+            gallery.append(_make_record(k, noisy, Occlusion.NONE))
         for _ in range(cfg.queries_per_identity):
             query_noisy.append(protos + sigma * rng.standard_normal((p2, cfg.dim)))
-            queries.records.append(None)  # placeholder, filled below
+            query_ids.append(k)
 
     n_q = len(query_noisy)
     n_occ = int(round(cfg.occluded_fraction * n_q))
@@ -192,18 +220,15 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Gallery, QuerySet]:
     occluded_flags[perm[:n_occ]] = True
     occ_idx = occluded_patch_indices(cfg.occlusion_type, cfg.grid)
 
-    qi = 0
-    for k in range(cfg.n_identities):
-        for _ in range(cfg.queries_per_identity):
-            patches = query_noisy[qi]
-            occ = Occlusion.NONE
-            if occluded_flags[qi]:
-                occ = cfg.occlusion_type
-                patches = patches.copy()
-                patches[occ_idx] = occluder[occ_idx]
-            queries.records[qi] = _make_record(k, patches, occ)
-            qi += 1
-    return gallery, queries
+    queries: list[FaceRecord] = []
+    for k, patches, occluded in zip(query_ids, query_noisy, occluded_flags):
+        occ = Occlusion.NONE
+        if occluded:
+            occ = cfg.occlusion_type
+            patches = patches.copy()
+            patches[occ_idx] = occluder[occ_idx]
+        queries.append(_make_record(k, patches, occ))
+    return Gallery(records=gallery), QuerySet(records=queries)
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +255,7 @@ def save_records(rs: RecordSet, path) -> None:
     """FVEB, little-endian. Version 1 is the fixed 512-dim / 64-patch layout;
     version 2 prefixes explicit dimensions for other shapes."""
     if rs.records:
-        dim = rs.records[0].dim
-        n_patches = rs.records[0].n_patches
-        for r in rs.records:
-            if r.dim != dim or r.n_patches != n_patches:
-                raise ValueError("mixed record shapes in one file")
+        dim, n_patches = rs.records[0].dim, rs.records[0].n_patches
     else:
         dim, n_patches = DEFAULT_DIM, DEFAULT_GRID * DEFAULT_GRID
     chunks = [_MAGIC]
@@ -255,36 +276,38 @@ def save_gallery(g: Gallery, path) -> None:
 
 
 def _load_records(path) -> list[FaceRecord]:
+    """Reads the file record by record, after checking its size against the
+    header, so the whole file is never held in memory next to its records."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 4 or data[:4] != _MAGIC:
-        raise BadMagicError(f"{path}: not an FVEB file")
-    off = 4
+        if fh.read(4) != _MAGIC:
+            raise BadMagicError(f"{path}: not an FVEB file")
 
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(data):
-            raise TruncatedFileError(f"{path}: truncated at byte {off}")
-        chunk = data[off:off + n]
-        off += n
-        return chunk
+        def take(n: int) -> bytes:
+            chunk = fh.read(n)
+            if len(chunk) != n:
+                raise TruncatedFileError(f"{path}: truncated at byte {fh.tell()}")
+            return chunk
 
-    (version,) = struct.unpack("<H", take(2))
-    if version == 1:
-        dim, n_patches = DEFAULT_DIM, DEFAULT_GRID * DEFAULT_GRID
-    elif version == 2:
-        dim, n_patches = struct.unpack("<HH", take(4))
-    else:
-        raise VersionMismatchError(f"{path}: unsupported FVEB version {version}")
-    (count,) = struct.unpack("<I", take(4))
-    records = []
-    for _ in range(count):
-        identity, occ = struct.unpack("<IB", take(5))
-        image_vec = np.frombuffer(take(4 * dim), dtype="<f4").astype(np.float64)
-        patches = np.frombuffer(take(4 * dim * n_patches), dtype="<f4").astype(np.float64)
-        records.append(FaceRecord(identity, image_vec, patches.reshape(n_patches, dim), Occlusion(occ)))
-    if off != len(data):
-        raise TruncatedFileError(f"{path}: {len(data) - off} trailing bytes")
+        (version,) = struct.unpack("<H", take(2))
+        if version == 1:
+            dim, n_patches = DEFAULT_DIM, DEFAULT_GRID * DEFAULT_GRID
+        elif version == 2:
+            dim, n_patches = struct.unpack("<HH", take(4))
+        else:
+            raise VersionMismatchError(f"{path}: unsupported FVEB version {version}")
+        (count,) = struct.unpack("<I", take(4))
+        size = os.fstat(fh.fileno()).st_size
+        end = fh.tell() + count * (5 + 4 * dim * (1 + n_patches))
+        if end > size:
+            raise TruncatedFileError(f"{path}: {count} records need {end} bytes, file has {size}")
+        if end < size:
+            raise TruncatedFileError(f"{path}: {size - end} trailing bytes")
+        records = []
+        for _ in range(count):
+            identity, occ = struct.unpack("<IB", take(5))
+            image_vec = np.frombuffer(take(4 * dim), dtype="<f4").astype(np.float64)
+            patches = np.frombuffer(take(4 * dim * n_patches), dtype="<f4").astype(np.float64)
+            records.append(FaceRecord(identity, image_vec, patches.reshape(n_patches, dim), Occlusion(occ)))
     return records
 
 
@@ -294,16 +317,6 @@ def load_gallery(path) -> Gallery:
 
 def load_queries(path) -> QuerySet:
     return QuerySet(records=_load_records(path))
-
-
-def export_text(rs: RecordSet, path) -> None:
-    """Line-delimited debug dump: identity, occlusion, image_vec, patches."""
-    with open(path, "w") as fh:
-        for r in rs.records:
-            vals = np.concatenate([r.image_vec, r.patches.ravel()])
-            fh.write(f"{r.identity} {r.occlusion.name} ")
-            fh.write(" ".join(repr(float(v)) for v in vals))
-            fh.write("\n")
 
 
 def records_equal(a: RecordSet, b: RecordSet) -> bool:

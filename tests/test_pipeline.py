@@ -1,10 +1,13 @@
 """Two-stage ranking, blending, metrics, and result serialization."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from facevit.model import ModelConfig, Variant, init_random
+from facevit.model import H2LScorer, ModelConfig, Variant, init_random
 from facevit.pipeline import (EmdSettings, PipelineConfig, QueryMetrics,
                               RankingResult, Reranker, evaluate, query_metrics,
                               report_to_files, results_from_csv, results_to_csv,
@@ -35,6 +38,18 @@ def test_stage1_matches_brute_force_cosine():
     ref_order = sorted(range(len(g)), key=lambda j: (-ref[j], j))
     np.testing.assert_array_equal(order, ref_order)
     np.testing.assert_allclose(scores, ref[order], atol=1e-12)
+
+
+def test_stage1_scores_equal_stacked_reference_bit_for_bit():
+    g, q = generate_synthetic(SynthConfig(20, 10, 0.5, 4, dim=512, grid=2,
+                                          queries_per_identity=2))
+    mat = np.stack([r.image_vec for r in g.records])
+    norms = np.linalg.norm(mat, axis=1)
+    for rec in q.records:
+        order, scores = stage1_rank(rec, g)
+        ref = (mat @ rec.image_vec) / (norms * np.linalg.norm(rec.image_vec))
+        np.testing.assert_array_equal(order, np.lexsort((np.arange(len(g)), -ref)))
+        np.testing.assert_array_equal(scores, ref[order])
 
 
 def test_stage1_ties_break_by_gallery_index():
@@ -124,11 +139,17 @@ def test_h2l_reranker_runs_and_keeps_shortlist_on_top():
     assert res.flagged == 0
 
 
-def test_h2l_non_finite_score_is_flagged():
+def poisoned_toy_data():
     # patches this large are finite in f32 (and in an FVEB file) but overflow
     # the forward; only the poisoned candidate may fall back to stage 1
     g, q = toy_data()
-    g.records[4].patches = np.full_like(g.records[4].patches, 1e20)
+    records = list(g.records)
+    records[4] = dataclasses.replace(records[4], patches=np.full_like(records[4].patches, 1e20))
+    return Gallery(records=records), q
+
+
+def test_h2l_non_finite_score_is_flagged():
+    g, q = poisoned_toy_data()
     cfg = PipelineConfig(k=len(g), alpha=0.7, reranker=Reranker.H2L, weights=h2l_weights())
     with np.errstate(all="ignore"):
         res = run_query(q.records[0], g, cfg)
@@ -136,6 +157,31 @@ def test_h2l_non_finite_score_is_flagged():
     poisoned = np.flatnonzero(res.order == 4)
     assert np.isnan(res.stage2[poisoned]).all()
     assert np.isfinite(np.delete(res.stage2, poisoned)).all()
+
+
+def test_h2l_non_finite_score_costs_one_batched_call():
+    class CountingScorer(H2LScorer):
+        calls = 0
+
+        def score_against(self, query, candidates):
+            self.calls += 1
+            return super().score_against(query, candidates)
+
+    g, q = poisoned_toy_data()
+    cfg = PipelineConfig(k=len(g), alpha=0.7, reranker=Reranker.H2L, weights=h2l_weights())
+    scorer = CountingScorer(cfg.weights)
+    res = run_query(q.records[0], g, cfg, scorer)
+    assert scorer.calls == 1
+    assert res.flagged == 1
+
+
+def test_h2l_non_finite_score_raises_no_warning():
+    g, q = poisoned_toy_data()
+    cfg = PipelineConfig(k=len(g), alpha=0.7, reranker=Reranker.H2L, weights=h2l_weights())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_query(q.records[0], g, cfg)
+    assert res.flagged == 1
 
 
 def test_no_normalize_mode_blends_raw_scores():

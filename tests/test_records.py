@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from facevit.records import (DEFAULT_DIM, BadMagicError, FaceRecord, Gallery,
                              Occlusion, SynthConfig, TruncatedFileError,
-                             VersionMismatchError, export_text,
+                             VersionMismatchError,
                              generate_synthetic, load_gallery, load_queries,
                              occluded_patch_indices, occluded_rows,
                              records_equal, save_records)
@@ -74,6 +74,43 @@ def test_generator_counts_and_labels():
     assert all(r.occlusion == Occlusion.NONE for r in g.records)
 
 
+def test_columns_equal_records():
+    g, q = generate_synthetic(small_cfg(n_identities=4, records_per_identity=3,
+                                        queries_per_identity=2, occluded_fraction=0.5))
+    for rs in (g, q):
+        np.testing.assert_array_equal(rs.identities, [r.identity for r in rs.records])
+        mat = np.stack([r.image_vec for r in rs.records])
+        np.testing.assert_array_equal(rs.images, mat)
+        np.testing.assert_array_equal(rs.image_norms, np.linalg.norm(mat, axis=1))
+        counts = {}
+        for r in rs.records:
+            counts[r.identity] = counts.get(r.identity, 0) + 1
+        assert rs.id_counts == counts
+    empty = Gallery()
+    assert len(empty) == 0 and empty.identities.shape == (0,) and dict(empty.id_counts) == {}
+
+
+def test_record_sets_and_records_are_read_only():
+    g, _ = generate_synthetic(small_cfg())
+    with pytest.raises(AttributeError):
+        g.records = g.records[:1]
+    with pytest.raises(TypeError):
+        g.records[0] = g.records[1]
+    with pytest.raises(AttributeError):
+        g.records[0].patches = np.zeros_like(g.records[0].patches)
+    with pytest.raises(AttributeError):
+        g.records[0].identity = 5
+    with pytest.raises(ValueError):
+        g.records[0].patches[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        g.records[0].image_vec[0] = 1.0
+    for column in (g.identities, g.images, g.image_norms):
+        with pytest.raises(ValueError):
+            column[0] = 0
+    with pytest.raises(TypeError):
+        g.id_counts[0] = 99
+
+
 def test_image_vec_is_mean_of_patches():
     g, q = generate_synthetic(small_cfg(occluded_fraction=1.0))
     for r in list(g.records) + list(q.records):
@@ -131,7 +168,7 @@ def test_empty_set_is_ten_byte_header(tmp_path):
     data = path.read_bytes()
     assert len(data) == 10
     assert data[:4] == b"FVEB"
-    assert load_gallery(path).records == []
+    assert len(load_gallery(path).records) == 0
 
 
 def test_round_trip_default_shape_is_version_1(tmp_path):
@@ -214,15 +251,3 @@ def test_round_trip_property(identity, grid, dim, occ):
         assert records_equal(load_gallery(path), Gallery(records=[rec]))
     finally:
         os.unlink(path)
-
-
-def test_export_text_round_trips_values(tmp_path):
-    g, _ = generate_synthetic(small_cfg())
-    path = tmp_path / "dump.txt"
-    export_text(g, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == len(g)
-    first = lines[0].split()
-    assert first[0] == "0" and first[1] == "NONE"
-    vals = np.array([float(v) for v in first[2:]])
-    np.testing.assert_array_equal(vals[:g.records[0].dim], g.records[0].image_vec)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from facevit.model import ModelConfig, Variant, init_random
-from facevit.records import SynthConfig, generate_synthetic
+from facevit.records import Gallery, SynthConfig, generate_synthetic
 from facevit.trainer import (TrainConfig, TrainerError, best_threshold,
                              pair_accuracy, pair_scores, sample_pairs, train,
                              verify_gradients, TrainState)
@@ -51,8 +51,8 @@ def test_sample_pairs_rejects_odd_count_and_singleton_identities():
     with pytest.raises(ValueError):
         sample_pairs(g, 7, seed=0)
     singles_cfg = SynthConfig(3, 2, 0.2, 0, dim=16, grid=4)
-    singles, _ = generate_synthetic(singles_cfg)
-    singles.records = singles.records[::2]  # one record per identity
+    both, _ = generate_synthetic(singles_cfg)
+    singles = Gallery(records=both.records[::2])  # one record per identity
     with pytest.raises(TrainerError):
         sample_pairs(singles, 4, seed=0)
 
