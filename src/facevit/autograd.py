@@ -14,7 +14,48 @@ from scipy.special import erf
 
 # Python floats: a numpy float64 scalar would promote float32 operands (NEP 50)
 _SQRT2 = float(np.sqrt(2.0))
+_INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+
+# float32 erf(t) = t * P(t^2) / Q(t^2) on t clamped to [-4, 4], outside of
+# which float32 erf is +-1 (the rational form Eigen uses; at most 4.5e-7 from
+# float64 erf). scipy's erf evaluates float32 input in double, as slowly as
+# float64. Coefficients from the lowest power up.
+_ERF32_P = (-1.60960333262415e-2, -2.95459980854025e-3, -7.34990630326855e-4,
+            -5.69250639462346e-5, -2.10102402082508e-6, 2.77068142495902e-8,
+            -2.72614225801306e-10)
+_ERF32_Q = (-1.42647390514189e-2, -7.37332916720468e-3, -1.68282697438203e-3,
+            -2.13374055278905e-4, -1.45660718464996e-5)
+_ERF32_CHUNK = 1 << 16  # elements per pass, so the temporaries stay in cache
+
+
+def _horner(u: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
+    acc = u * coeffs[-1]
+    for c in coeffs[-2:0:-1]:
+        acc += c
+        acc *= u
+    acc += coeffs[0]
+    return acc
+
+
+def _phi_f32(x: np.ndarray, times_x: bool) -> np.ndarray:
+    """Standard normal CDF of a float32 array, or x * Phi(x) when `times_x`,
+    computed in float32 a chunk at a time."""
+    out = np.empty(x.shape, dtype=np.float32)
+    xs, outs = x.reshape(-1), out.reshape(-1)
+    for start in range(0, xs.size, _ERF32_CHUNK):
+        xc, oc = xs[start:start + _ERF32_CHUNK], outs[start:start + _ERF32_CHUNK]
+        t = xc * _INV_SQRT2
+        np.clip(t, -4.0, 4.0, out=t)
+        u = t * t
+        num = _horner(u, _ERF32_P)
+        num *= t
+        np.divide(num, _horner(u, _ERF32_Q), out=oc)
+        oc += 1.0
+        oc *= 0.5
+        if times_x:
+            oc *= xc
+    return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -87,9 +128,6 @@ class Tensor:
     @property
     def shape(self):
         return self.value.shape
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.value)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -225,8 +263,16 @@ class Tensor:
         return Tensor._make(np.clip(self.value, lo, hi), (self,), bwd)
 
     def gelu(self):
+        """x * Phi(x). float32 input takes the float32 erf above, and without a
+        gradient to keep Phi for, writes the product directly; float64 input
+        takes scipy's erf."""
         x = self.value
-        phi = 0.5 * (1.0 + erf(x / _SQRT2))
+        if x.dtype == np.float32:
+            if not self.requires_grad:
+                return Tensor(_phi_f32(x, times_x=True))
+            phi = _phi_f32(x, times_x=False)
+        else:
+            phi = 0.5 * (1.0 + erf(x / _SQRT2))
         def bwd(g, a=self, p=phi):
             xv = a.value
             a._accumulate(g * (p + xv * _INV_SQRT_2PI * np.exp(-0.5 * xv * xv)))
@@ -244,16 +290,24 @@ def ensure_tensor(x, like: Tensor | None = None) -> Tensor:
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
+    """Join along `axis`. The other axes broadcast, so a block shared by a
+    whole batch can be held once; its gradient is summed back to its shape."""
     tensors = [ensure_tensor(t) for t in tensors]
+    if len(tensors) == 1:
+        return tensors[0]
     sizes = [t.value.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    ax = axis % tensors[0].value.ndim
+    rest = np.broadcast_shapes(*(t.value.shape[:ax] + t.value.shape[ax + 1:] for t in tensors))
+    values = [np.broadcast_to(t.value, rest[:ax] + (size,) + rest[ax:])
+              for t, size in zip(tensors, sizes)]
     def bwd(g):
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(start, stop)
                 t._accumulate(g[tuple(idx)])
-    return Tensor._make(np.concatenate([t.value for t in tensors], axis=axis), tensors, bwd)
+    return Tensor._make(np.concatenate(values, axis=axis), tensors, bwd)
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:

@@ -8,7 +8,7 @@ embeddings are added.
 One forward serves every caller. `h2l_features` runs on autodiff Tensors: the
 trainer and the gradient checks run it in float64 with gradients, and
 `H2LScorer` runs it in float32 without, to re-rank a query against a batch of
-candidates.
+candidates; the query goes in at batch size 1, so its tokens are built once.
 """
 
 from __future__ import annotations
@@ -197,35 +197,32 @@ def _check_patches(r: FaceRecord, cfg: ModelConfig) -> None:
 
 
 def assemble_tokens_batch(
-    patches_a: np.ndarray,  # (B, P^2, D)
-    patches_b: np.ndarray,
+    patches_a: np.ndarray,  # (B_a, P^2, D)
+    patches_b: np.ndarray,  # (B_b, P^2, D)
     p: dict[str, Tensor],
     cfg: ModelConfig,
     add_pos: bool = True,
-) -> Tensor:
+) -> tuple[Tensor, Tensor]:
+    """The token sequence as two blocks: `[CLS, a, SEP]` at image a's batch
+    size and `b` at image b's, each with its slice of the positional
+    embedding. With B_a = 1 the query's tokens are built once for all B_b
+    candidates; `_encode` broadcasts them."""
     e = p["token_proj"]
-    batch = patches_a.shape[0]
-    pa = Tensor(patches_a) @ e
-    pb = Tensor(patches_b) @ e
-    ones = Tensor(np.ones((batch, 1, 1), dtype=e.value.dtype))
-    cls_row = ones * (p["cls_token"] @ e).reshape(1, 1, cfg.dim)
-    sep_row = ones * (p["sep_token"] @ e).reshape(1, 1, cfg.dim)
-    z0 = concat([cls_row, pa, sep_row, pb], axis=1)
+    n = cfg.n_patches
+
+    def row(name: str) -> Tensor:
+        return (p[name] @ e).reshape(1, 1, cfg.dim)
+
+    za = concat([row("cls_token"), Tensor(patches_a) @ e, row("sep_token")], axis=1)
+    zb = Tensor(patches_b) @ e
     if add_pos:
-        z0 = z0 + p["pos_embed"]
-    return z0
+        za = za + p["pos_embed"][:n + 2]
+        zb = zb + p["pos_embed"][n + 2:]
+    return za, zb
 
 
-def assemble_tokens(a: FaceRecord, b: FaceRecord, w: ModelWeights, add_pos: bool = True) -> np.ndarray:
-    """Token matrix (2P^2+2) x D for one pair."""
-    _check_patches(a, w.config)
-    _check_patches(b, w.config)
-    p = params_to_tensors(w)
-    z0 = assemble_tokens_batch(a.patches[None], b.patches[None], p, w.config, add_pos)
-    return z0.value[0]
-
-
-def _encode(z: Tensor, p: dict[str, Tensor], cfg: ModelConfig) -> tuple[Tensor, list[np.ndarray]]:
+def _encode(z, p: dict[str, Tensor], cfg: ModelConfig) -> tuple[Tensor, list[np.ndarray]]:
+    """The encoder layers; `z` is a Tensor or the first layer's token blocks."""
     attns = []
     for i in range(cfg.depth):
         z, attn = encoder_layer_t(z, layer_tensors(p, i, cfg.heads), _LN_EPS)
@@ -265,15 +262,16 @@ def h2l_features(
     update_stats: bool = False,
     add_pos: bool = True,
 ) -> tuple[Tensor, Tensor, list[np.ndarray]]:
-    """Batched H2L forward: (B, P^2, D) patch blocks -> (f1, f2) feature batches."""
+    """Batched H2L forward: (B, P^2, D) patch blocks -> (f1, f2) feature
+    batches. `patches_a` may instead be (1, P^2, D), one query against all B
+    candidates, with the same result as that query repeated B times."""
     cfg = w.config
     _require_variant(cfg, Variant.H2L)
     if p is None:
         p = params_to_tensors(w)
-    z0 = assemble_tokens_batch(patches_a, patches_b, p, cfg, add_pos)
-    z, attns = _encode(z0, p, cfg)
+    z, attns = _encode(assemble_tokens_batch(patches_a, patches_b, p, cfg, add_pos), p, cfg)
     n = cfg.n_patches
-    batch = patches_a.shape[0]
+    batch = z.shape[0]
     z1 = z[:, 1:n + 1, :].reshape(batch, n * cfg.dim)
     z2 = z[:, n + 2:2 * n + 2, :].reshape(batch, n * cfg.dim)
     bufs = w.buffers if update_stats else None
@@ -286,20 +284,6 @@ def h2l_features(
     f1 = layer_norm_t(f1, p["head.ln_g"], p["head.ln_b"], _LN_EPS)
     f2 = layer_norm_t(f2, p["head.ln_g"], p["head.ln_b"], _LN_EPS)
     return f1, f2, attns
-
-
-def h2l_meanpool_features(
-    w: ModelWeights, patches_a: np.ndarray, patches_b: np.ndarray, add_pos: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean-pooled per-block features; internal, used by the permutation
-    invariance test only (the production head flattens)."""
-    cfg = w.config
-    _require_variant(cfg, Variant.H2L)
-    p = params_to_tensors(w)
-    z0 = assemble_tokens_batch(patches_a, patches_b, p, cfg, add_pos)
-    z, _ = _encode(z0, p, cfg)
-    n = cfg.n_patches
-    return z.value[:, 1:n + 1, :].mean(axis=1), z.value[:, n + 2:, :].mean(axis=1)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -327,20 +311,9 @@ def h2_logits_batch(w: ModelWeights, patches_a: np.ndarray, patches_b: np.ndarra
     _require_variant(cfg, Variant.H2)
     if p is None:
         p = params_to_tensors(w)
-    z0 = assemble_tokens_batch(patches_a, patches_b, p, cfg, add_pos)
-    z, _ = _encode(z0, p, cfg)
+    z, _ = _encode(assemble_tokens_batch(patches_a, patches_b, p, cfg, add_pos), p, cfg)
     cls_out = layer_norm_t(z[:, 0, :], p["head.ln_g"], p["head.ln_b"], _LN_EPS)
     return cls_out @ p["head.fc_w"] + p["head.fc_b"]
-
-
-def score_pair_h2(a: FaceRecord, b: FaceRecord, w: ModelWeights) -> np.ndarray:
-    """Same/different logits (2,) from the CLS output row."""
-    _check_patches(a, w.config)
-    _check_patches(b, w.config)
-    logits = h2_logits_batch(w, a.patches[None], b.patches[None]).value[0]
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("non-finite activations in H2 forward")
-    return logits
 
 
 def h1_embed_batch(w: ModelWeights, patches: np.ndarray,
@@ -350,24 +323,11 @@ def h1_embed_batch(w: ModelWeights, patches: np.ndarray,
     if p is None:
         p = params_to_tensors(w)
     e = p["token_proj"]
-    batch = patches.shape[0]
-    pa = Tensor(patches) @ e
-    ones = Tensor(np.ones((batch, 1, 1), dtype=e.value.dtype))
-    cls_row = ones * (p["cls_token"] @ e).reshape(1, 1, cfg.dim)
-    z0 = concat([cls_row, pa], axis=1)
+    z0 = concat([(p["cls_token"] @ e).reshape(1, 1, cfg.dim), Tensor(patches) @ e], axis=1)
     if add_pos:
         z0 = z0 + p["pos_embed"]
     z, _ = _encode(z0, p, cfg)
     return layer_norm_t(z[:, 0, :], p["head.ln_g"], p["head.ln_b"], _LN_EPS)
-
-
-def embed_single_h1(a: FaceRecord, w: ModelWeights) -> np.ndarray:
-    """CLS output feature of the 1-image baseline."""
-    _check_patches(a, w.config)
-    out = h1_embed_batch(w, a.patches[None]).value[0]
-    if not np.all(np.isfinite(out)):
-        raise ValueError("non-finite activations in H1 forward")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +336,15 @@ def embed_single_h1(a: FaceRecord, w: ModelWeights) -> np.ndarray:
 
 class H2LScorer:
     """Forward-only H2L scoring of one query against a batch of gallery
-    candidates through `h2l_features`.
+    candidates through `h2l_features`. The query goes in at batch size 1, so
+    its tokens, their first layer norm and their Q/K/V are computed once per
+    call rather than once per candidate.
 
     Defaults to float32 compute: training and gradient checks stay float64,
-    but this inference hot loop is GEMM-bound and f32 roughly halves its
-    wall-clock at a per-score error around 1e-5, far below the score gaps
-    that matter for ranking. The weights are cast once, here."""
+    but this inference hot loop is GEMM-bound, and f32 roughly halves its
+    wall-clock and takes the float32 erf in GELU, at a per-score error around
+    1e-7, far below the score gaps that matter for ranking. The weights are
+    cast once, here."""
 
     def __init__(self, w: ModelWeights, add_pos: bool = True, dtype=np.float32):
         _require_variant(w.config, Variant.H2L)
@@ -399,8 +362,8 @@ class H2LScorer:
         batch are unaffected, since the forward mixes no data across pairs."""
         cfg = self.w.config
         _check_patches(query, cfg)
+        patches_a = query.patches[None].astype(self.dtype)
         patches_b = np.stack([rec.patches for _, rec in candidates], dtype=self.dtype)
-        patches_a = np.broadcast_to(query.patches.astype(self.dtype), patches_b.shape)
         # every non-finite score is returned as NaN, so the overflow and
         # invalid-value warnings on the way there carry no information
         with np.errstate(over="ignore", invalid="ignore"):

@@ -2,17 +2,18 @@
 
 Each primitive (suffix _t) takes and returns autodiff Tensors and computes in
 the dtype of its inputs: float64 for training and gradient checks, float32 for
-the re-ranking forward.
+the re-ranking forward. Attention and the encoder layer also take their input
+as a list of token blocks, so a block shared by a batch is projected once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .autograd import Tensor, ensure_tensor, softmax as softmax_t
+from .autograd import Tensor, concat, ensure_tensor, softmax as softmax_t
 
 
 @dataclass
@@ -36,9 +37,6 @@ class LayerParams:
     ln1_b: np.ndarray
     ln2_g: np.ndarray
     ln2_b: np.ndarray
-
-    def array_fields(self) -> list[str]:
-        return [f.name for f in fields(self) if f.name != "heads"]
 
 
 def _check_finite(x: np.ndarray, what: str) -> None:
@@ -75,30 +73,45 @@ def mlp_block_t(x: Tensor, p: LayerParams) -> Tensor:
     return h @ ensure_tensor(p.w2) + ensure_tensor(p.b2)
 
 
-def multi_head_attention_t(tokens: Tensor, p: LayerParams) -> tuple[Tensor, np.ndarray]:
+def _token_blocks(tokens) -> list[Tensor]:
+    return [ensure_tensor(b) for b in (tokens if isinstance(tokens, (list, tuple)) else [tokens])]
+
+
+def multi_head_attention_t(tokens, p: LayerParams) -> tuple[Tensor, np.ndarray]:
     """Scaled-dot-product attention over (..., T, D) tokens.
+
+    `tokens` is one Tensor or a list of blocks that join along the token axis,
+    their other axes broadcasting as in `concat`. Q, K and V are projected
+    block by block, so a block of batch size 1 is projected once for the
+    whole batch.
 
     Returns the projected output and the per-head attention maps
     (..., heads, T, T) as plain arrays for the explainer.
     """
-    tokens = ensure_tensor(tokens)
-    _check_finite(tokens.value, "attention input")
+    blocks = _token_blocks(tokens)
+    for b in blocks:
+        _check_finite(b.value, "attention input")
     wq = ensure_tensor(p.wq)
     d_inner = wq.value.shape[1]
     if d_inner % p.heads != 0:
         raise ValueError("attention inner dim must be divisible by head count")
-    if tokens.value.shape[-1] != wq.value.shape[0]:
+    if any(b.value.shape[-1] != wq.value.shape[0] for b in blocks):
         raise ValueError("attention input dimension mismatch")
     d_h = d_inner // p.heads
-    t_len = tokens.value.shape[-2]
-    lead = tokens.value.shape[:-2]
+
+    def project(w, bias) -> Tensor:
+        w, bias = ensure_tensor(w), ensure_tensor(bias)
+        return concat([b @ w + bias for b in blocks], axis=-2)
+
+    q = project(wq, p.bq)
+    lead, t_len = q.shape[:-2], q.shape[-2]
 
     def split_heads(x: Tensor) -> Tensor:
         return x.reshape(lead + (t_len, p.heads, d_h)).swapaxes(-3, -2)
 
-    q = split_heads(tokens @ wq + ensure_tensor(p.bq))
-    k = split_heads(tokens @ ensure_tensor(p.wk) + ensure_tensor(p.bk))
-    v = split_heads(tokens @ ensure_tensor(p.wv) + ensure_tensor(p.bv))
+    q = split_heads(q)
+    k = split_heads(project(p.wk, p.bk))
+    v = split_heads(project(p.wv, p.bv))
 
     scores = (q @ k.swapaxes(-1, -2)) * float(1.0 / np.sqrt(d_h))
     attn = softmax_t(scores, axis=-1)
@@ -108,10 +121,18 @@ def multi_head_attention_t(tokens: Tensor, p: LayerParams) -> tuple[Tensor, np.n
     return out, attn.value
 
 
-def encoder_layer_t(z: Tensor, p: LayerParams, eps: float = 1e-6) -> tuple[Tensor, np.ndarray]:
-    """Pre-norm block with residuals on both sub-layers."""
-    attn_out, attn = multi_head_attention_t(layer_norm_t(z, p.ln1_g, p.ln1_b, eps), p)
-    z = z + attn_out
+def encoder_layer_t(z, p: LayerParams, eps: float = 1e-6) -> tuple[Tensor, np.ndarray]:
+    """Pre-norm block with residuals on both sub-layers. `z` is one Tensor or
+    a list of token blocks, as `multi_head_attention_t` takes; layer norm
+    runs per block, and the output is one (..., T, D) Tensor. Blocks of equal
+    leading shape share nothing, so they are joined first: one block per op
+    costs less in Python than two."""
+    blocks = _token_blocks(z)
+    if len({b.shape[:-2] for b in blocks}) == 1:
+        blocks = [concat(blocks, axis=-2)]
+    normed = [layer_norm_t(b, p.ln1_g, p.ln1_b, eps) for b in blocks]
+    attn_out, attn = multi_head_attention_t(normed, p)
+    z = concat(blocks, axis=-2) + attn_out
     z = z + mlp_block_t(layer_norm_t(z, p.ln2_g, p.ln2_b, eps), p)
     return z, attn
 

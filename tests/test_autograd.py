@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erf
 
 from facevit.autograd import Tensor, concat, ensure_tensor, log_softmax, softmax
 
@@ -124,6 +125,25 @@ def test_concat_splits_gradient():
     np.testing.assert_array_equal(b.grad, np.arange(4.0, 10.0).reshape(3, 2))
 
 
+def test_concat_broadcasts_batch_one_operand():
+    # a (1, 2, 3) block joined to a (4, 5, 3) one along the token axis is
+    # repeated for the whole batch; its gradient sums over the batch
+    rng = np.random.default_rng(4)
+    a0, b0 = rng.standard_normal((1, 2, 3)), rng.standard_normal((4, 5, 3))
+    weight = rng.standard_normal((4, 7, 3))
+    a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+    out = concat([a, b], axis=1)
+    assert out.shape == (4, 7, 3)
+    np.testing.assert_array_equal(out.value[:, :2], np.broadcast_to(a0, (4, 2, 3)))
+    np.testing.assert_array_equal(out.value[:, 2:], b0)
+    ((out * weight) ** 2).sum().backward()
+    na = numeric_grad(lambda v: float(((concat([v, b0], axis=1).value * weight) ** 2).sum()), a0.copy())
+    nb = numeric_grad(lambda v: float(((concat([a0, v], axis=1).value * weight) ** 2).sum()), b0.copy())
+    assert a.grad.shape == (1, 2, 3)
+    np.testing.assert_allclose(a.grad, na, rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(b.grad, nb, rtol=1e-6, atol=1e-6)
+
+
 def test_backward_requires_scalar():
     t = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):
@@ -167,3 +187,40 @@ def test_gelu_reference_values():
     out = Tensor(x).gelu().value
     np.testing.assert_allclose(out, [0.0, 0.8413447460685429, -0.15865525393145707],
                                atol=1e-12)
+
+
+def gelu_f64_reference(x):
+    return x * (0.5 * (1.0 + erf(x / np.sqrt(2.0))))
+
+
+def test_gelu_f64_is_scipy_erf_bit_for_bit():
+    x = np.linspace(-10.0, 10.0, 200_001)
+    np.testing.assert_array_equal(Tensor(x).gelu().value, gelu_f64_reference(x))
+
+
+def test_gelu_f32_close_to_f64():
+    big = float(np.finfo(np.float32).max)
+    x = np.concatenate([np.linspace(-10.0, 10.0, 2_000_001),
+                        [0.0, -0.0, big, -big, np.inf, -np.inf, np.nan]]).astype(np.float32)
+    with np.errstate(invalid="ignore"):  # -inf * Phi(-inf) = -inf * 0
+        out = Tensor(x).gelu().value
+        ref = gelu_f64_reference(x.astype(np.float64))
+    assert out.dtype == np.float32
+    finite = np.isfinite(x)
+    assert np.abs(out[finite].astype(np.float64) - ref[finite]).max() <= 2e-6
+    # non-finite input gives what float64 gives: nan -> nan, inf -> inf, -inf -> nan
+    np.testing.assert_array_equal(out[~finite], ref[~finite])
+    np.testing.assert_array_equal(out[-3:], [np.inf, np.nan, np.nan])
+
+
+def test_gelu_f32_with_grad_uses_phi():
+    x = np.linspace(-6.0, 6.0, 1201).astype(np.float32)
+    t = Tensor(x, requires_grad=True)
+    out = t.gelu()
+    out.sum().backward()
+    # the same float32 values as without a gradient, and a Phi-based gradient
+    np.testing.assert_array_equal(out.value, Tensor(x).gelu().value)
+    assert t.grad.dtype == np.float32
+    x64 = x.astype(np.float64)
+    dgelu = 0.5 * (1.0 + erf(x64 / np.sqrt(2.0))) + x64 * np.exp(-0.5 * x64 * x64) / np.sqrt(2.0 * np.pi)
+    np.testing.assert_allclose(t.grad, dgelu, rtol=0, atol=5e-6)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from facevit.model import (H2LScorer, ModelConfig, ModelWeights, Variant,
-                           VariantError, WeightFormatError, assemble_tokens, buffer_shapes,
-                           cosine, embed_single_h1, h2l_features,
-                           h2l_meanpool_features, init_random, load_weights,
-                           param_shapes, params_to_tensors, save_weights,
-                           score_pair_h2, score_pair_h2l)
+                           VariantError, WeightFormatError, _encode, assemble_tokens_batch,
+                           buffer_shapes, cosine, h1_embed_batch, h2_logits_batch,
+                           h2l_features, init_random, load_weights, param_shapes,
+                           params_to_tensors, save_weights, score_pair_h2l)
 from facevit.records import FaceRecord, SynthConfig, generate_synthetic
 
 
@@ -58,19 +57,26 @@ def test_init_is_deterministic_and_f32_exact():
     assert np.all(w1.buffers["head.bn1_mean"] == 0.0)
 
 
+def assemble_pair(a, b, w, add_pos):
+    """Token matrix (2P^2+2) x D of one pair, from the two token blocks."""
+    za, zb = assemble_tokens_batch(a.patches[None], b.patches[None],
+                                   params_to_tensors(w), w.config, add_pos)
+    return np.concatenate([za.value[0], zb.value[0]])
+
+
 def test_token_layout_cls_sep_positions():
     cfg = toy_cfg(depth=1)
     w = init_random(cfg, 0)
     g, _ = toy_data()
     a, b = g.records[0], g.records[1]
-    z0 = assemble_tokens(a, b, w, add_pos=False)
+    z0 = assemble_pair(a, b, w, add_pos=False)
     assert z0.shape == (2 * 16 + 2, 16)
     e = w.params["token_proj"]
     np.testing.assert_allclose(z0[0], w.params["cls_token"] @ e, atol=1e-12)
     np.testing.assert_allclose(z0[17], w.params["sep_token"] @ e, atol=1e-12)
     np.testing.assert_allclose(z0[1:17], a.patches @ e, atol=1e-12)
     np.testing.assert_allclose(z0[18:], b.patches @ e, atol=1e-12)
-    with_pos = assemble_tokens(a, b, w, add_pos=True)
+    with_pos = assemble_pair(a, b, w, add_pos=True)
     np.testing.assert_allclose(with_pos, z0 + w.params["pos_embed"], atol=1e-12)
 
 
@@ -107,6 +113,28 @@ def test_h2l_features_keep_f32():
     assert f1.value.dtype == np.float32 and f2.value.dtype == np.float32
 
 
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_h2l_query_prefix_once_equals_broadcast_query(depth, dtype):
+    # a (1, P, D) query's tokens take LN1 and Q/K/V once for the whole batch;
+    # that must give exactly what the query repeated for every candidate
+    # gives, where the encoder joins the two equal-batch blocks first
+    w = init_random(toy_cfg(depth=depth), 8)
+    w = ModelWeights(w.config, {k: v.astype(dtype) for k, v in w.params.items()},
+                     {k: v.astype(dtype) for k, v in w.buffers.items()})
+    g, q = toy_data(per_id=3)
+    pb = np.stack([r.patches for r in g.records]).astype(dtype)
+    pa = q.records[0].patches[None].astype(dtype)
+    f1, f2, attns = h2l_features(w, pa, pb)
+    r1, r2, ref_attns = h2l_features(w, np.broadcast_to(pa, pb.shape), pb)
+    assert f1.shape == (len(pb), 16) and f1.value.dtype == dtype
+    np.testing.assert_array_equal(f1.value, r1.value)
+    np.testing.assert_array_equal(f2.value, r2.value)
+    assert len(attns) == len(ref_attns) == depth
+    for attn, ref in zip(attns, ref_attns):
+        np.testing.assert_array_equal(attn, ref)
+
+
 def test_scorer_f32_mode_close_to_f64():
     w = init_random(toy_cfg(depth=2, heads=4), 3)
     g, q = toy_data(per_id=3)
@@ -131,12 +159,16 @@ def test_h2l_block_permutation_within_image():
     # permuting image-b patches (pos disabled) permutes only b-side tokens;
     # the mean-pooled b feature is invariant
     w = init_random(toy_cfg(depth=1), 6)
+    p = params_to_tensors(w)
     g, _ = toy_data()
     a, b = g.records[0].patches[None], g.records[1].patches[None]
     perm = np.random.default_rng(0).permutation(16)
-    _, fb1 = h2l_meanpool_features(w, a, b, add_pos=False)
-    _, fb2 = h2l_meanpool_features(w, a, b[:, perm], add_pos=False)
-    np.testing.assert_allclose(fb1, fb2, atol=1e-10)
+
+    def b_meanpool(pb):
+        z, _ = _encode(assemble_tokens_batch(a, pb, p, w.config, add_pos=False), p, w.config)
+        return z.value[:, 16 + 2:, :].mean(axis=1)
+
+    np.testing.assert_allclose(b_meanpool(b), b_meanpool(b[:, perm]), atol=1e-10)
 
 
 def test_batch_norm_modes_differ_and_running_stats_update():
@@ -159,15 +191,15 @@ def test_variant_guards():
     with pytest.raises(VariantError):
         score_pair_h2l(g.records[0], g.records[1], w)
     with pytest.raises(VariantError):
-        score_pair_h2(g.records[0], g.records[1], w)
-    emb = embed_single_h1(g.records[0], w)
+        h2_logits_batch(w, g.records[0].patches[None], g.records[1].patches[None])
+    emb = h1_embed_batch(w, g.records[0].patches[None]).value[0]
     assert emb.shape == (16,)
 
 
 def test_h2_logits_shape():
     w = init_random(toy_cfg(variant=Variant.H2), 0)
     g, _ = toy_data()
-    logits = score_pair_h2(g.records[0], g.records[1], w)
+    logits = h2_logits_batch(w, g.records[0].patches[None], g.records[1].patches[None]).value[0]
     assert logits.shape == (2,)
 
 
