@@ -153,8 +153,8 @@ def _unit_rows(x: np.ndarray, what: str) -> np.ndarray:
 
 def patch_cost_matrix(a: FaceRecord, b: FaceRecord) -> np.ndarray:
     """c_ij = 1 - cosine(patch_i(a), patch_j(b)), clipped into [0, 2]."""
-    na = _unit_rows(a.patches, "patch in first record")
-    nb = _unit_rows(b.patches, "patch in second record")
+    na = _unit_rows(np.asarray(a.patches, dtype=np.float64), "patch in first record")
+    nb = _unit_rows(np.asarray(b.patches, dtype=np.float64), "patch in second record")
     return np.clip(1.0 - na @ nb.T, 0.0, 2.0)
 
 
@@ -165,10 +165,10 @@ def marginal_weights(a: FaceRecord, b: FaceRecord, scheme: WeightScheme) -> tupl
         return w, w.copy()
     # cross-correlation: weight each patch by its (rectified) dot product with
     # the other image's average-pooled feature, floored to stay positive
-    avg_a = a.patches.mean(axis=0)
-    avg_b = b.patches.mean(axis=0)
-    u = np.maximum(0.0, a.patches @ avg_b) + _WEIGHT_FLOOR
-    v = np.maximum(0.0, b.patches @ avg_a) + _WEIGHT_FLOOR
+    pa = np.asarray(a.patches, dtype=np.float64)
+    pb = np.asarray(b.patches, dtype=np.float64)
+    u = np.maximum(0.0, pa @ pb.mean(axis=0)) + _WEIGHT_FLOOR
+    v = np.maximum(0.0, pb @ pa.mean(axis=0)) + _WEIGHT_FLOOR
     return u / u.sum(), v / v.sum()
 
 

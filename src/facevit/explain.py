@@ -17,8 +17,10 @@ def cc_heatmap(a: FaceRecord, b: FaceRecord) -> tuple[np.ndarray, np.ndarray]:
     if a.patches.shape != b.patches.shape:
         raise ValueError("patch grids differ")
     g = a.grid
-    map_ab = (a.patches @ b.patches.mean(axis=0)).reshape(g, g)
-    map_ba = (b.patches @ a.patches.mean(axis=0)).reshape(g, g)
+    pa = np.asarray(a.patches, dtype=np.float64)
+    pb = np.asarray(b.patches, dtype=np.float64)
+    map_ab = (pa @ pb.mean(axis=0)).reshape(g, g)
+    map_ba = (pb @ pa.mean(axis=0)).reshape(g, g)
     return map_ab, map_ba
 
 

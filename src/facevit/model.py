@@ -21,7 +21,7 @@ import numpy as np
 
 from .autograd import Tensor, concat
 from .nn_core import LayerParams, encoder_layer_t, layer_norm_t
-from .records import FaceRecord
+from .records import FaceRecord, atomic_write
 
 _WEIGHT_MAGIC = b"FVWT"
 _HEADER_FMT = "<4sHBHHHHHIH"
@@ -298,7 +298,8 @@ def score_pair_h2l(a: FaceRecord, b: FaceRecord, w: ModelWeights,
     """Pair similarity in [-1, 1] plus the two cross-attention features."""
     _check_patches(a, w.config)
     _check_patches(b, w.config)
-    f1, f2, _ = h2l_features(w, a.patches[None], b.patches[None], add_pos=add_pos)
+    f1, f2, _ = h2l_features(w, np.asarray(a.patches[None], dtype=np.float64),
+                             np.asarray(b.patches[None], dtype=np.float64), add_pos=add_pos)
     v1, v2 = f1.value[0], f2.value[0]
     if not (np.all(np.isfinite(v1)) and np.all(np.isfinite(v2))):
         raise ValueError("non-finite activations in H2L forward")
@@ -394,7 +395,7 @@ def save_weights(w: ModelWeights, path) -> None:
         chunks.append(arr.astype("<f4").tobytes())
     for name, shape in buffer_shapes(cfg).items():
         chunks.append(w.buffers[name].astype("<f4").tobytes())
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(b"".join(chunks))
 
 

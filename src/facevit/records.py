@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import math
 import os
+import secrets
 import struct
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import IntEnum
 from types import MappingProxyType
+from typing import BinaryIO
 
 import numpy as np
 
@@ -60,7 +63,12 @@ def occluded_patch_indices(occlusion: Occlusion, grid: int = DEFAULT_GRID) -> np
 @dataclass(frozen=True, eq=False)
 class FaceRecord:
     """One face; read-only once built, so the columns of a RecordSet cannot
-    drift from the records they were built from."""
+    drift from the records they were built from.
+
+    `image_vec` is float64. `patches` keeps float32, the on-disk precision
+    (loaded records hold a view of the mapped file, generated ones an f32
+    array); any other input becomes float64. Consumers that compute in
+    float64 upcast the patches first."""
     identity: int
     image_vec: np.ndarray  # (D,)
     patches: np.ndarray    # (grid^2, D), row-major over the grid
@@ -69,7 +77,9 @@ class FaceRecord:
     def __post_init__(self):
         # read-only views: the caller's own arrays keep their flags
         image_vec = np.asarray(self.image_vec, dtype=np.float64).view()
-        patches = np.asarray(self.patches, dtype=np.float64).view()
+        patches = np.asarray(self.patches)
+        patches = np.asarray(patches, dtype=np.float32 if patches.dtype == np.float32
+                             else np.float64).view()
         image_vec.flags.writeable = patches.flags.writeable = False
         object.__setattr__(self, "image_vec", image_vec)
         object.__setattr__(self, "patches", patches)
@@ -103,11 +113,27 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _image_column(records: tuple[FaceRecord, ...]) -> np.ndarray:
+    """The (N, D) image matrix. A loaded set's image vectors are already the
+    rows, in order, of one read-only matrix, which is used as it is; other
+    sets get a stacked copy."""
+    if not records:
+        return _read_only(np.zeros((0, 0)))
+    base = records[0].image_vec.base
+    if (isinstance(base, np.ndarray) and not base.flags.writeable and base.flags.c_contiguous
+            and base.shape == (len(records), records[0].dim)):
+        start, step = base.ctypes.data, base.strides[0]
+        if all(r.image_vec.ctypes.data == start + i * step for i, r in enumerate(records)):
+            return base
+    return _read_only(np.stack([r.image_vec for r in records]))
+
+
 @dataclass(frozen=True, eq=False)
 class RecordSet:
     """Records of one shape, read-only, with columns built once here:
     `identities` (N,), the image matrix `images` (N, D), its row norms
-    `image_norms` (N,) and `id_counts` (identity -> number of records)."""
+    `image_norms` (N,) and `id_counts` (identity -> number of records).
+    A gallery and a query set are both RecordSets."""
     records: tuple[FaceRecord, ...] = ()
     identities: np.ndarray = field(init=False, repr=False)
     images: np.ndarray = field(init=False, repr=False)
@@ -119,10 +145,10 @@ class RecordSet:
         if len({r.patches.shape for r in records}) > 1:
             raise ValueError("mixed record shapes in one set")
         ids = [r.identity for r in records]
-        images = np.stack([r.image_vec for r in records]) if records else np.zeros((0, 0))
+        images = _image_column(records)
         object.__setattr__(self, "records", records)
         object.__setattr__(self, "identities", _read_only(np.array(ids, dtype=np.int64)))
-        object.__setattr__(self, "images", _read_only(images))
+        object.__setattr__(self, "images", images)
         object.__setattr__(self, "image_norms", _read_only(np.linalg.norm(images, axis=1)))
         object.__setattr__(self, "id_counts", MappingProxyType(Counter(ids)))
 
@@ -133,12 +159,7 @@ class RecordSet:
         return self.records[i]
 
 
-class Gallery(RecordSet):
-    pass
-
-
-class QuerySet(RecordSet):
-    pass
+Gallery = QuerySet = RecordSet
 
 
 @dataclass
@@ -171,14 +192,10 @@ class SynthConfig:
             raise ValueError("identity_scale must be positive")
 
 
-def _round_f32(x: np.ndarray) -> np.ndarray:
-    # on-disk precision is f32; rounding here makes save/load the identity
-    return x.astype(np.float32).astype(np.float64)
-
-
 def _make_record(identity: int, patches: np.ndarray, occlusion: Occlusion) -> FaceRecord:
-    patches = _round_f32(patches)
-    image_vec = _round_f32(patches.mean(axis=0))
+    # on-disk precision is f32; rounding here makes save/load the identity
+    patches = patches.astype(np.float32)
+    image_vec = patches.astype(np.float64).mean(axis=0).astype(np.float32)
     return FaceRecord(identity, image_vec, patches, occlusion)
 
 
@@ -251,6 +268,24 @@ class TruncatedFileError(GalleryFormatError):
     pass
 
 
+@contextmanager
+def atomic_write(path) -> Iterator[BinaryIO]:
+    """A binary file, opened beside `path`, that replaces `path` once the
+    block completes; on an exception `path` is left as it was. A process
+    that has the old file mapped keeps reading the old contents, where
+    truncating the file in place would fault its next read (SIGBUS)."""
+    path = os.fspath(path)
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_records(rs: RecordSet, path) -> None:
     """FVEB, little-endian. Version 1 is the fixed 512-dim / 64-patch layout;
     version 2 prefixes explicit dimensions for other shapes."""
@@ -267,7 +302,7 @@ def save_records(rs: RecordSet, path) -> None:
         chunks.append(struct.pack("<IB", r.identity, int(r.occlusion)))
         chunks.append(r.image_vec.astype("<f4").tobytes())
         chunks.append(r.patches.astype("<f4").tobytes())
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(b"".join(chunks))
 
 
@@ -276,8 +311,10 @@ def save_gallery(g: Gallery, path) -> None:
 
 
 def _load_records(path) -> list[FaceRecord]:
-    """Reads the file record by record, after checking its size against the
-    header, so the whole file is never held in memory next to its records."""
+    """Maps the file after checking its size against the header. Each
+    record's patches are a read-only f32 view of the mapping (unaligned:
+    records start with a 5-byte header), and its image vector is a row of
+    one f64 matrix built here, which its RecordSet takes as `images`."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise BadMagicError(f"{path}: not an FVEB file")
@@ -296,19 +333,23 @@ def _load_records(path) -> list[FaceRecord]:
         else:
             raise VersionMismatchError(f"{path}: unsupported FVEB version {version}")
         (count,) = struct.unpack("<I", take(4))
+        record = np.dtype([("identity", "<u4"), ("occlusion", "u1"),
+                           ("image", "<f4", (dim,)), ("patches", "<f4", (n_patches, dim))])
         size = os.fstat(fh.fileno()).st_size
-        end = fh.tell() + count * (5 + 4 * dim * (1 + n_patches))
+        end = fh.tell() + count * record.itemsize
         if end > size:
             raise TruncatedFileError(f"{path}: {count} records need {end} bytes, file has {size}")
         if end < size:
             raise TruncatedFileError(f"{path}: {size - end} trailing bytes")
-        records = []
-        for _ in range(count):
-            identity, occ = struct.unpack("<IB", take(5))
-            image_vec = np.frombuffer(take(4 * dim), dtype="<f4").astype(np.float64)
-            patches = np.frombuffer(take(4 * dim * n_patches), dtype="<f4").astype(np.float64)
-            records.append(FaceRecord(identity, image_vec, patches.reshape(n_patches, dim), Occlusion(occ)))
-    return records
+        if count == 0:
+            return []
+        # asarray: the record views are plain ndarrays, not np.memmap slices
+        body = np.asarray(np.memmap(fh, dtype=record, mode="r", offset=fh.tell(), shape=(count,)))
+    images = _read_only(body["image"].astype(np.float64))
+    patches = body["patches"]
+    return [FaceRecord(identity, images[n], patches[n], Occlusion(occ))
+            for n, (identity, occ) in enumerate(zip(body["identity"].tolist(),
+                                                    body["occlusion"].tolist()))]
 
 
 def load_gallery(path) -> Gallery:

@@ -86,8 +86,8 @@ def sample_pairs(g: Gallery, n: int, seed: int) -> list[Pair]:
 
 
 def _pair_blocks(g: Gallery, pairs: list[Pair]) -> tuple[np.ndarray, np.ndarray]:
-    pa = np.stack([g.records[i].patches for i, _, _ in pairs])
-    pb = np.stack([g.records[j].patches for _, j, _ in pairs])
+    pa = np.stack([g.records[i].patches for i, _, _ in pairs], dtype=np.float64)
+    pb = np.stack([g.records[j].patches for _, j, _ in pairs], dtype=np.float64)
     return pa, pb
 
 

@@ -18,9 +18,10 @@ def test_heatmap_matches_manual_dot_products():
     a, b = toy_pair()
     map_ab, map_ba = cc_heatmap(a, b)
     assert map_ab.shape == (4, 4)
-    ref = (a.patches @ b.patches.mean(axis=0)).reshape(4, 4)
+    pa, pb = a.patches.astype(np.float64), b.patches.astype(np.float64)
+    ref = (pa @ pb.mean(axis=0)).reshape(4, 4)
     np.testing.assert_allclose(map_ab, ref, atol=1e-12)
-    ref_ba = (b.patches @ a.patches.mean(axis=0)).reshape(4, 4)
+    ref_ba = (pb @ pa.mean(axis=0)).reshape(4, 4)
     np.testing.assert_allclose(map_ba, ref_ba, atol=1e-12)
 
 

@@ -1,15 +1,27 @@
 """Data model, synthetic generator, and the FVEB binary format."""
 
+import mmap
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import facevit
+from facevit.emd import emd_similarity
+from facevit.explain import cc_heatmap
+from facevit.model import ModelConfig, Variant, init_random, score_pair_h2l
 from facevit.records import (DEFAULT_DIM, BadMagicError, FaceRecord, Gallery,
-                             Occlusion, SynthConfig, TruncatedFileError,
-                             VersionMismatchError,
+                             Occlusion, RecordSet, SynthConfig, TruncatedFileError,
+                             VersionMismatchError, atomic_write,
                              generate_synthetic, load_gallery, load_queries,
                              occluded_patch_indices, occluded_rows,
                              records_equal, save_records)
+from facevit.trainer import _pair_blocks, sample_pairs
 
 
 def small_cfg(**kw):
@@ -114,7 +126,7 @@ def test_record_sets_and_records_are_read_only():
 def test_image_vec_is_mean_of_patches():
     g, q = generate_synthetic(small_cfg(occluded_fraction=1.0))
     for r in list(g.records) + list(q.records):
-        expected = r.patches.mean(axis=0).astype(np.float32).astype(np.float64)
+        expected = r.patches.astype(np.float64).mean(axis=0).astype(np.float32).astype(np.float64)
         np.testing.assert_array_equal(r.image_vec, expected)
 
 
@@ -251,3 +263,113 @@ def test_round_trip_property(identity, grid, dim, occ):
         assert records_equal(load_gallery(path), Gallery(records=[rec]))
     finally:
         os.unlink(path)
+
+
+def test_non_finite_patch_in_file_rejected(tmp_path):
+    g, _ = generate_synthetic(small_cfg())
+    path = tmp_path / "g"
+    save_records(g, path)
+    data = bytearray(path.read_bytes())
+    rec = g.records[0]
+    # header (14 bytes for version 2), then record 1: identity, occlusion, image vector
+    at = 14 + (5 + 4 * rec.dim * (1 + rec.n_patches)) + 5 + 4 * rec.dim + 4 * 7
+    data[at:at + 4] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError):
+        load_gallery(path)
+
+
+# -- float32 patches mapped from the file --------------------------------------
+
+def _mapping(arr):
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def test_loaded_patches_are_read_only_f32_views_of_the_mapped_file(tmp_path):
+    g, _ = generate_synthetic(small_cfg())
+    path = tmp_path / "g"
+    save_records(g, path)
+    loaded = load_gallery(path)
+    m = _mapping(loaded.records[0].patches)
+    assert isinstance(m, mmap.mmap)
+    file_bytes = np.frombuffer(m, dtype=np.uint8)
+    for i, r in enumerate(loaded.records):
+        assert r.patches.dtype == np.float32 and not r.patches.flags.writeable
+        assert _mapping(r.patches) is m and np.shares_memory(r.patches, file_bytes)
+        assert r.image_vec.dtype == np.float64
+        assert np.shares_memory(r.image_vec, loaded.images[i])
+    assert loaded.images.dtype == np.float64 and not loaded.images.flags.writeable
+    assert all(r.patches.dtype == np.float32 for r in g.records)
+
+
+def test_a_subset_of_a_loaded_set_gets_its_own_image_column(tmp_path):
+    g, _ = generate_synthetic(small_cfg())
+    path = tmp_path / "g"
+    save_records(g, path)
+    loaded = load_gallery(path)
+    for records in (loaded.records[1:], loaded.records[::-1]):
+        sub = RecordSet(records=records)
+        np.testing.assert_array_equal(sub.images, np.stack([r.image_vec for r in records]))
+
+
+def test_f32_records_score_bit_identical_to_their_f64_twins(tmp_path):
+    g, _ = generate_synthetic(small_cfg(n_identities=4, records_per_identity=3))
+    path = tmp_path / "g"
+    save_records(g, path)
+    g32 = load_gallery(path)
+    # 1093-byte records: the mapped patches of every other record are unaligned
+    assert not all(r.patches.flags.aligned for r in g32.records)
+    g64 = Gallery(records=[FaceRecord(r.identity, r.image_vec, r.patches.astype(np.float64),
+                                      r.occlusion) for r in g32.records])
+    assert all(r.patches.dtype == np.float64 for r in g64.records)
+    w = init_random(ModelConfig(Variant.H2L, depth=1, heads=2, dim=16, n_patches=16), 0)
+    for i, j in [(0, 1), (1, 4), (5, 2)]:
+        a32, b32, a64, b64 = g32[i], g32[j], g64[i], g64[j]
+        assert emd_similarity(a32, b32, fixed_iters=30) == emd_similarity(a64, b64, fixed_iters=30)
+        s32, s64 = score_pair_h2l(a32, b32, w), score_pair_h2l(a64, b64, w)
+        assert s32[0] == s64[0]
+        np.testing.assert_array_equal(s32[1], s64[1])
+        np.testing.assert_array_equal(s32[2], s64[2])
+        for m32, m64 in zip(cc_heatmap(a32, b32), cc_heatmap(a64, b64)):
+            np.testing.assert_array_equal(m32, m64)
+    pairs = sample_pairs(g32, 8, 0)
+    for x32, x64 in zip(_pair_blocks(g32, pairs), _pair_blocks(g64, pairs)):
+        assert x32.dtype == np.float64
+        np.testing.assert_array_equal(x32, x64)
+
+
+def test_saving_over_a_mapped_file_leaves_the_loaded_set_intact(tmp_path):
+    g, _ = generate_synthetic(small_cfg(n_identities=4, records_per_identity=3))
+    path = tmp_path / "g"
+    save_records(g, path)
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from facevit.records import RecordSet, load_gallery, save_records
+        path = sys.argv[1]
+        g = load_gallery(path)
+        before = np.array(g.records[-1].patches)
+        save_records(RecordSet(records=g.records[:2]), path)
+        assert np.array_equal(g.records[-1].patches, before)
+        assert len(load_gallery(path)) == 2
+    """)
+    src = str(Path(facevit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert records_equal(load_gallery(path), Gallery(records=g.records[:2]))
+    assert os.listdir(tmp_path) == ["g"]
+
+
+def test_atomic_write_leaves_the_target_on_error(tmp_path):
+    path = tmp_path / "f"
+    path.write_bytes(b"old")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write(b"new")
+            raise RuntimeError("stop")
+    assert path.read_bytes() == b"old" and os.listdir(tmp_path) == ["f"]
