@@ -1,12 +1,10 @@
 """Patch-wise optimal-transport similarity (the EMD re-ranking baseline).
 
-Entropic-regularized OT solved by log-domain Sinkhorn iteration, plus an
-exhaustive assignment oracle for small instances used only by tests.
+Entropic-regularized OT solved by log-domain Sinkhorn iteration.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -67,14 +65,10 @@ def sinkhorn(
     tol: float = 1e-6,
     fixed_iters: int | None = None,
     check_every: int = 5,
-    checkpoints: list[tuple[int, float]] | None = None,
 ) -> SinkhornResult:
     """Log-domain Sinkhorn. Alternates the two potential updates until both
     marginal L1 violations drop below tol, or for exactly `fixed_iters`
     iterations when that is given (benchmark mode, no convergence checks).
-
-    If `checkpoints` is passed, (iteration, distance) pairs are appended at
-    every convergence check.
     """
     if not (1e-3 <= eps <= 1.0):
         raise ValueError("eps must lie in [1e-3, 1]")
@@ -107,8 +101,6 @@ def sinkhorn(
         if fixed_iters is None and (it % check_every == 0 or it == n_iters):
             p = plan()
             err = np.abs(p.sum(axis=1) - u).sum() + np.abs(p.sum(axis=0) - v).sum()
-            if checkpoints is not None:
-                checkpoints.append((it, float((p * cost).sum())))
             if err < tol:
                 converged = True
                 break
@@ -122,24 +114,6 @@ def sinkhorn(
     return SinkhornResult(p, float((p * cost).sum()), it, converged, err)
 
 
-def exact_assignment_oracle(cost: np.ndarray) -> float:
-    """Exact OT distance for uniform equal marginals by exhaustive permutation
-    search (the optimum sits on a permutation); n <= 8 only."""
-    cost = np.asarray(cost, dtype=np.float64)
-    n = cost.shape[0]
-    if cost.shape != (n, n):
-        raise ValueError("cost must be square")
-    if n > 8:
-        raise ValueError("oracle limited to n <= 8")
-    best = np.inf
-    idx = np.arange(n)
-    for perm in itertools.permutations(range(n)):
-        total = cost[idx, perm].sum()
-        if total < best:
-            best = total
-    return float(best / n)
-
-
 # ---------------------------------------------------------------------------
 # patch-set similarity
 # ---------------------------------------------------------------------------
@@ -151,22 +125,23 @@ def _unit_rows(x: np.ndarray, what: str) -> np.ndarray:
     return x / norms
 
 
-def patch_cost_matrix(a: FaceRecord, b: FaceRecord) -> np.ndarray:
-    """c_ij = 1 - cosine(patch_i(a), patch_j(b)), clipped into [0, 2]."""
-    na = _unit_rows(np.asarray(a.patches, dtype=np.float64), "patch in first record")
-    nb = _unit_rows(np.asarray(b.patches, dtype=np.float64), "patch in second record")
+def patch_cost_matrix(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """c_ij = 1 - cosine(pa_i, pb_j) over two f64 (n, D) patch arrays,
+    clipped into [0, 2]."""
+    na = _unit_rows(pa, "patch in first record")
+    nb = _unit_rows(pb, "patch in second record")
     return np.clip(1.0 - na @ nb.T, 0.0, 2.0)
 
 
-def marginal_weights(a: FaceRecord, b: FaceRecord, scheme: WeightScheme) -> tuple[np.ndarray, np.ndarray]:
-    n = a.patches.shape[0]
+def marginal_weights(pa: np.ndarray, pb: np.ndarray,
+                     scheme: WeightScheme) -> tuple[np.ndarray, np.ndarray]:
+    """Marginals over the rows of two f64 (n, D) patch arrays."""
+    n = pa.shape[0]
     if scheme is WeightScheme.UNIFORM:
         w = np.full(n, 1.0 / n)
         return w, w.copy()
     # cross-correlation: weight each patch by its (rectified) dot product with
     # the other image's average-pooled feature, floored to stay positive
-    pa = np.asarray(a.patches, dtype=np.float64)
-    pb = np.asarray(b.patches, dtype=np.float64)
     u = np.maximum(0.0, pa @ pb.mean(axis=0)) + _WEIGHT_FLOOR
     v = np.maximum(0.0, pb @ pa.mean(axis=0)) + _WEIGHT_FLOOR
     return u / u.sum(), v / v.sum()
@@ -174,8 +149,10 @@ def marginal_weights(a: FaceRecord, b: FaceRecord, scheme: WeightScheme) -> tupl
 
 def build_flow_problem(a: FaceRecord, b: FaceRecord,
                        scheme: WeightScheme = WeightScheme.CROSS_CORRELATION) -> FlowProblem:
-    u, v = marginal_weights(a, b, scheme)
-    return FlowProblem(patch_cost_matrix(a, b), u, v)
+    pa = np.asarray(a.patches, dtype=np.float64)
+    pb = np.asarray(b.patches, dtype=np.float64)
+    u, v = marginal_weights(pa, pb, scheme)
+    return FlowProblem(patch_cost_matrix(pa, pb), u, v)
 
 
 def emd_similarity(
@@ -193,7 +170,3 @@ def emd_similarity(
     fp = build_flow_problem(a, b, scheme)
     res = sinkhorn(fp, eps=eps, max_iters=max_iters, tol=tol, fixed_iters=fixed_iters)
     return 1.0 - res.distance
-
-
-def flow_to_csv(flow: np.ndarray, path) -> None:
-    np.savetxt(path, flow, delimiter=",", fmt="%.10g")

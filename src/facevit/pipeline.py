@@ -92,13 +92,13 @@ def _stage2_scores(q: FaceRecord, g: Gallery, shortlist: np.ndarray,
         for pos, j in enumerate(shortlist):
             try:
                 scores[pos] = emd_similarity(
-                    q, g.records[j], scheme=cfg.emd.scheme, eps=cfg.emd.eps,
+                    q, g[j], scheme=cfg.emd.scheme, eps=cfg.emd.eps,
                     max_iters=cfg.emd.max_iters, tol=cfg.emd.tol,
                     fixed_iters=cfg.emd.fixed_iters)
             except (ValueError, ArithmeticError):
                 pass
     elif cfg.reranker is Reranker.H2L:
-        candidates = [(int(j), g.records[j]) for j in shortlist]
+        candidates = [(int(j), g[j]) for j in shortlist]
         try:
             scores[:] = scorer.score_against(q, candidates)
         except (ValueError, ArithmeticError):

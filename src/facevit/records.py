@@ -9,6 +9,7 @@ occluded queries whose masked grid rows carry no identity signal.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import secrets
 import struct
@@ -26,6 +27,7 @@ DEFAULT_DIM = 512
 DEFAULT_GRID = 8
 
 _MAGIC = b"FVEB"
+_READ_BYTES = 4 << 20  # the chunk of a load's one checking pass over the body
 _OCCLUDER_TAG = 2**32  # stream id outside the identity range
 _BASE_TAG = 2**32 + 2  # stream id of the shared base-face prototypes
 
@@ -62,13 +64,10 @@ def occluded_patch_indices(occlusion: Occlusion, grid: int = DEFAULT_GRID) -> np
 
 @dataclass(frozen=True, eq=False)
 class FaceRecord:
-    """One face; read-only once built, so the columns of a RecordSet cannot
-    drift from the records they were built from.
-
-    `image_vec` is float64. `patches` keeps float32, the on-disk precision
-    (loaded records hold a view of the mapped file, generated ones an f32
-    array); any other input becomes float64. Consumers that compute in
-    float64 upcast the patches first."""
+    """One face, read-only. The records of a RecordSet are views of one row
+    of its columns. `image_vec` is float64; `patches` keeps float32, the
+    on-disk precision, and any other input becomes float64. Consumers that
+    compute in float64 upcast the patches first."""
     identity: int
     image_vec: np.ndarray  # (D,)
     patches: np.ndarray    # (grid^2, D), row-major over the grid
@@ -83,8 +82,8 @@ class FaceRecord:
         image_vec.flags.writeable = patches.flags.writeable = False
         object.__setattr__(self, "image_vec", image_vec)
         object.__setattr__(self, "patches", patches)
-        if self.identity < 0:
-            raise ValueError("identity must be non-negative")
+        if not 0 <= self.identity < 2**32:  # FVEB stores it as u4
+            raise ValueError("identity must lie in [0, 2**32)")
         if image_vec.ndim != 1 or patches.ndim != 2:
             raise ValueError("image_vec must be 1-D and patches 2-D")
         if patches.shape[1] != image_vec.shape[0]:
@@ -108,49 +107,49 @@ class FaceRecord:
         return math.isqrt(self.patches.shape[0])
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
-def _image_column(records: tuple[FaceRecord, ...]) -> np.ndarray:
-    """The (N, D) image matrix. A loaded set's image vectors are already the
-    rows, in order, of one read-only matrix, which is used as it is; other
-    sets get a stacked copy."""
-    if not records:
-        return _read_only(np.zeros((0, 0)))
-    base = records[0].image_vec.base
-    if (isinstance(base, np.ndarray) and not base.flags.writeable and base.flags.c_contiguous
-            and base.shape == (len(records), records[0].dim)):
-        start, step = base.ctypes.data, base.strides[0]
-        if all(r.image_vec.ctypes.data == start + i * step for i, r in enumerate(records)):
-            return base
-    return _read_only(np.stack([r.image_vec for r in records]))
-
-
 @dataclass(frozen=True, eq=False)
 class RecordSet:
-    """Records of one shape, read-only, with columns built once here:
-    `identities` (N,), the image matrix `images` (N, D), its row norms
-    `image_norms` (N,) and `id_counts` (identity -> number of records).
-    A gallery and a query set are both RecordSets."""
+    """Records of one shape as read-only columns: `identities` (N,) int64,
+    `occlusion` (N,) uint8, `images` (N, D) f64, `patches` (N, P, D) f32
+    unless an input record was f64, `image_norms` (N,) and `id_counts`
+    (identity -> count). `records` are FaceRecord views of the rows; a set
+    built from records stacks them. A gallery and a query set are both."""
     records: tuple[FaceRecord, ...] = ()
     identities: np.ndarray = field(init=False, repr=False)
+    occlusion: np.ndarray = field(init=False, repr=False)
     images: np.ndarray = field(init=False, repr=False)
+    patches: np.ndarray = field(init=False, repr=False)
     image_norms: np.ndarray = field(init=False, repr=False)
     id_counts: Mapping[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         records = tuple(self.records)
-        if len({r.patches.shape for r in records}) > 1:
-            raise ValueError("mixed record shapes in one set")
-        ids = [r.identity for r in records]
-        images = _image_column(records)
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "identities", _read_only(np.array(ids, dtype=np.int64)))
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "image_norms", _read_only(np.linalg.norm(images, axis=1)))
+        if records:  # np.stack raises ValueError on mixed shapes
+            images = np.stack([r.image_vec for r in records])
+            patches = np.stack([r.patches for r in records])
+        else:
+            images = np.zeros((0, DEFAULT_DIM))
+            patches = np.zeros((0, DEFAULT_GRID * DEFAULT_GRID, DEFAULT_DIM), np.float32)
+        self._set_columns(np.array([r.identity for r in records], dtype=np.int64),
+                          np.array([r.occlusion for r in records], dtype=np.uint8),
+                          images, patches)
+
+    def _set_columns(self, identities, occlusion, images, patches) -> None:
+        columns = dict(identities=identities, occlusion=occlusion, images=images,
+                       patches=patches, image_norms=np.linalg.norm(images, axis=1))
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        ids = identities.tolist()
         object.__setattr__(self, "id_counts", MappingProxyType(Counter(ids)))
+        views = []
+        for n, (ident, occ) in enumerate(zip(ids, occlusion.tolist())):
+            # no FaceRecord checks: the columns were checked when stacked or loaded
+            r = object.__new__(FaceRecord)
+            r.__dict__.update(identity=ident, image_vec=images[n], patches=patches[n],
+                              occlusion=Occlusion(occ))
+            views.append(r)
+        object.__setattr__(self, "records", tuple(views))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -286,35 +285,36 @@ def atomic_write(path) -> Iterator[BinaryIO]:
         raise
 
 
+def _fveb_record(dim: int, n_patches: int) -> np.dtype:
+    return np.dtype([("identity", "<u4"), ("occlusion", "u1"),
+                     ("image", "<f4", (dim,)), ("patches", "<f4", (n_patches, dim))])
+
+
 def save_records(rs: RecordSet, path) -> None:
     """FVEB, little-endian. Version 1 is the fixed 512-dim / 64-patch layout;
     version 2 prefixes explicit dimensions for other shapes."""
-    if rs.records:
-        dim, n_patches = rs.records[0].dim, rs.records[0].n_patches
-    else:
-        dim, n_patches = DEFAULT_DIM, DEFAULT_GRID * DEFAULT_GRID
-    chunks = [_MAGIC]
+    n_patches, dim = rs.patches.shape[1:]
     if (dim, n_patches) == (DEFAULT_DIM, DEFAULT_GRID * DEFAULT_GRID):
-        chunks.append(struct.pack("<HI", 1, len(rs.records)))
+        header = struct.pack("<HI", 1, len(rs))
     else:
-        chunks.append(struct.pack("<HHHI", 2, dim, n_patches, len(rs.records)))
-    for r in rs.records:
-        chunks.append(struct.pack("<IB", r.identity, int(r.occlusion)))
-        chunks.append(r.image_vec.astype("<f4").tobytes())
-        chunks.append(r.patches.astype("<f4").tobytes())
+        header = struct.pack("<HHHI", 2, dim, n_patches, len(rs))
+    body = np.empty(len(rs), _fveb_record(dim, n_patches))
+    body["identity"], body["occlusion"] = rs.identities, rs.occlusion
+    body["image"], body["patches"] = rs.images, rs.patches
     with atomic_write(path) as fh:
-        fh.write(b"".join(chunks))
+        fh.write(_MAGIC + header)
+        fh.write(body)
 
 
-def save_gallery(g: Gallery, path) -> None:
-    save_records(g, path)
-
-
-def _load_records(path) -> list[FaceRecord]:
-    """Maps the file after checking its size against the header. Each
-    record's patches are a read-only f32 view of the mapping (unaligned:
-    records start with a 5-byte header), and its image vector is a row of
-    one f64 matrix built here, which its RecordSet takes as `images`."""
+def load_gallery(path) -> Gallery:
+    """Checks the file's size against its header, then makes one pass over
+    the body, a chunk at a time, each through a mapping of that chunk alone:
+    it rejects non-finite embeddings and unknown occlusion codes and fills
+    `identities`, `occlusion` and `images`. `patches` is a read-only f32
+    view of a mapping of the whole file (unaligned: records carry a 5-byte
+    header) that the load leaves untouched, so only the patches a job reads
+    get mapped in; reading a column through it would map in the whole file,
+    as the page cache maps it in large folios."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise BadMagicError(f"{path}: not an FVEB file")
@@ -333,39 +333,37 @@ def _load_records(path) -> list[FaceRecord]:
         else:
             raise VersionMismatchError(f"{path}: unsupported FVEB version {version}")
         (count,) = struct.unpack("<I", take(4))
-        record = np.dtype([("identity", "<u4"), ("occlusion", "u1"),
-                           ("image", "<f4", (dim,)), ("patches", "<f4", (n_patches, dim))])
+        record = _fveb_record(dim, n_patches)
+        offset = fh.tell()
         size = os.fstat(fh.fileno()).st_size
-        end = fh.tell() + count * record.itemsize
+        end = offset + count * record.itemsize
         if end > size:
             raise TruncatedFileError(f"{path}: {count} records need {end} bytes, file has {size}")
         if end < size:
             raise TruncatedFileError(f"{path}: {size - end} trailing bytes")
-        if count == 0:
-            return []
-        # asarray: the record views are plain ndarrays, not np.memmap slices
-        body = np.asarray(np.memmap(fh, dtype=record, mode="r", offset=fh.tell(), shape=(count,)))
-    images = _read_only(body["image"].astype(np.float64))
-    patches = body["patches"]
-    return [FaceRecord(identity, images[n], patches[n], Occlusion(occ))
-            for n, (identity, occ) in enumerate(zip(body["identity"].tolist(),
-                                                    body["occlusion"].tolist()))]
+        if math.isqrt(n_patches) ** 2 != n_patches:
+            raise ValueError(f"{path}: {n_patches} patches do not form a square grid")
+        identities = np.empty(count, np.int64)
+        occlusion = np.empty(count, np.uint8)
+        images = np.empty((count, dim))
+        step = max(1, _READ_BYTES // record.itemsize)
+        for start in range(0, count, step):
+            at = offset + start * record.itemsize
+            skip, n = at % mmap.ALLOCATIONGRANULARITY, min(step, count - start)
+            # unmapped once `chunk` is rebound; a plain read would copy the bytes
+            chunk = np.frombuffer(mmap.mmap(fh.fileno(), skip + n * record.itemsize, offset=at - skip,
+                                            access=mmap.ACCESS_READ), record, n, skip)
+            if not (np.isfinite(chunk["image"]).all() and np.isfinite(chunk["patches"]).all()):
+                raise ValueError(f"{path}: non-finite embedding values")
+            if (chunk["occlusion"] >= len(Occlusion)).any():
+                raise ValueError(f"{path}: unknown occlusion code")
+            rows = slice(start, start + len(chunk))
+            identities[rows], occlusion[rows] = chunk["identity"], chunk["occlusion"]
+            images[rows] = chunk["image"]
+        body = np.asarray(np.memmap(fh, dtype=record, mode="r", offset=offset, shape=(count,)))
+    rs = object.__new__(RecordSet)
+    rs._set_columns(identities, occlusion, images, body["patches"])
+    return rs
 
 
-def load_gallery(path) -> Gallery:
-    return Gallery(records=_load_records(path))
-
-
-def load_queries(path) -> QuerySet:
-    return QuerySet(records=_load_records(path))
-
-
-def records_equal(a: RecordSet, b: RecordSet) -> bool:
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a.records, b.records):
-        if ra.identity != rb.identity or ra.occlusion != rb.occlusion:
-            return False
-        if not (np.array_equal(ra.image_vec, rb.image_vec) and np.array_equal(ra.patches, rb.patches)):
-            return False
-    return True
+load_queries = load_gallery

@@ -64,8 +64,8 @@ def sample_pairs(g: Gallery, n: int, seed: int) -> list[Pair]:
     if n % 2 != 0:
         raise ValueError("pair count must be even")
     by_id: dict[int, list[int]] = {}
-    for i, r in enumerate(g.records):
-        by_id.setdefault(r.identity, []).append(i)
+    for i, identity in enumerate(g.identities.tolist()):
+        by_id.setdefault(identity, []).append(i)
     positives = [(i, j) for members in by_id.values() if len(members) >= 2
                  for a, i in enumerate(members) for j in members[a + 1:]]
     if not positives:
@@ -86,9 +86,15 @@ def sample_pairs(g: Gallery, n: int, seed: int) -> list[Pair]:
 
 
 def _pair_blocks(g: Gallery, pairs: list[Pair]) -> tuple[np.ndarray, np.ndarray]:
-    pa = np.stack([g.records[i].patches for i, _, _ in pairs], dtype=np.float64)
-    pb = np.stack([g.records[j].patches for _, j, _ in pairs], dtype=np.float64)
+    pa = g.patches[[i for i, _, _ in pairs]].astype(np.float64)
+    pb = g.patches[[j for _, j, _ in pairs]].astype(np.float64)
     return pa, pb
+
+
+def _pair_classes(state: TrainState, g: Gallery, pairs: list[Pair]) -> np.ndarray:
+    """Class of each image of the batch: the a-sides, then the b-sides."""
+    ids = g.identities[[i for i, _, _ in pairs] + [j for _, j, _ in pairs]]
+    return np.array([state.class_of[k] for k in ids.tolist()])
 
 
 @dataclass
@@ -144,9 +150,7 @@ def _batch_loss(state: TrainState, g: Gallery, pairs: list[Pair], tc: TrainConfi
     if w.config.variant is Variant.H2L:
         f1, f2, _ = h2l_features(w, pa, pb, p=p, bn_mode="batch", update_stats=update_stats)
         feats = concat([f1, f2], axis=0)
-        labels = np.array([state.class_of[g.records[i].identity] for i, _, _ in pairs]
-                          + [state.class_of[g.records[j].identity] for _, j, _ in pairs])
-        return arcface_loss_t(feats, labels, w_arc, tc.margin, tc.scale)
+        return arcface_loss_t(feats, _pair_classes(state, g, pairs), w_arc, tc.margin, tc.scale)
     if w.config.variant is Variant.H2:
         logits = h2_logits_batch(w, pa, pb, p=p)
         onehot = np.zeros((len(pairs), 2))
@@ -154,9 +158,7 @@ def _batch_loss(state: TrainState, g: Gallery, pairs: list[Pair], tc: TrainConfi
         return -(log_softmax(logits, axis=1) * onehot).sum() * (1.0 / len(pairs))
     # H1: per-image angular-margin classification over both pair sides
     emb = concat([h1_embed_batch(w, pa, p=p), h1_embed_batch(w, pb, p=p)], axis=0)
-    labels = np.array([state.class_of[g.records[i].identity] for i, _, _ in pairs]
-                      + [state.class_of[g.records[j].identity] for _, j, _ in pairs])
-    return arcface_loss_t(emb, labels, w_arc, tc.margin, tc.scale)
+    return arcface_loss_t(emb, _pair_classes(state, g, pairs), w_arc, tc.margin, tc.scale)
 
 
 def verify_gradients(state: TrainState, g: Gallery, tc: TrainConfig,
@@ -235,7 +237,7 @@ def train(cfg: ModelConfig, weights: ModelWeights | None, data: Gallery,
         weights = init_random(cfg, tc.seed)
     weights = ModelWeights(cfg, {k: v.copy() for k, v in weights.params.items()},
                            {k: v.copy() for k, v in weights.buffers.items()})
-    identities = sorted({r.identity for r in data.records})
+    identities = np.unique(data.identities).tolist()
     class_of = {ident: i for i, ident in enumerate(identities)}
     uses_arcface = cfg.variant in (Variant.H2L, Variant.H1)
     arc_w = None

@@ -11,21 +11,26 @@ suite's runtime; they are ordinary tests, not marked, because they are the
 point of the module.
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from facevit.bench import run_scaling, run_wallclock
-from facevit.emd import FlowProblem, exact_assignment_oracle, sinkhorn
+from facevit.emd import FlowProblem, sinkhorn
 from facevit.experiments import run_ablation, run_occlusion_seed
 from facevit.model import (ModelConfig, Variant, h1_embed_batch, h2l_features,
                            init_random, load_weights, save_weights)
 from facevit.pipeline import (PipelineConfig, Reranker, evaluate,
                               run_pipeline)
 from facevit.records import (SynthConfig, generate_synthetic, load_gallery,
-                             records_equal, save_gallery)
+                             save_records as save_gallery)
 from facevit.trainer import TrainConfig, TrainState, verify_gradients
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from reference import exact_assignment_oracle, records_equal  # noqa: E402
 
 
 # -- 1: entropic solver agrees with the exact assignment optimum -------------

@@ -15,13 +15,15 @@ import facevit
 from facevit.emd import emd_similarity
 from facevit.explain import cc_heatmap
 from facevit.model import ModelConfig, Variant, init_random, score_pair_h2l
-from facevit.records import (DEFAULT_DIM, BadMagicError, FaceRecord, Gallery,
-                             Occlusion, RecordSet, SynthConfig, TruncatedFileError,
-                             VersionMismatchError, atomic_write,
+from facevit.records import (_READ_BYTES, DEFAULT_DIM, BadMagicError, FaceRecord,
+                             Gallery, Occlusion, RecordSet, SynthConfig,
+                             TruncatedFileError, VersionMismatchError, atomic_write,
                              generate_synthetic, load_gallery, load_queries,
-                             occluded_patch_indices, occluded_rows,
-                             records_equal, save_records)
+                             occluded_patch_indices, occluded_rows, save_records)
 from facevit.trainer import _pair_blocks, sample_pairs
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from reference import records_equal  # noqa: E402
 
 
 def small_cfg(**kw):
@@ -91,6 +93,9 @@ def test_columns_equal_records():
                                         queries_per_identity=2, occluded_fraction=0.5))
     for rs in (g, q):
         np.testing.assert_array_equal(rs.identities, [r.identity for r in rs.records])
+        np.testing.assert_array_equal(rs.occlusion, [r.occlusion for r in rs.records])
+        np.testing.assert_array_equal(rs.patches, np.stack([r.patches for r in rs.records]))
+        assert all(np.shares_memory(r.patches, rs.patches) for r in rs.records)
         mat = np.stack([r.image_vec for r in rs.records])
         np.testing.assert_array_equal(rs.images, mat)
         np.testing.assert_array_equal(rs.image_norms, np.linalg.norm(mat, axis=1))
@@ -116,7 +121,7 @@ def test_record_sets_and_records_are_read_only():
         g.records[0].patches[0, 0] = 1.0
     with pytest.raises(ValueError):
         g.records[0].image_vec[0] = 1.0
-    for column in (g.identities, g.images, g.image_norms):
+    for column in (g.identities, g.occlusion, g.images, g.patches, g.image_norms):
         with pytest.raises(ValueError):
             column[0] = 0
     with pytest.raises(TypeError):
@@ -265,18 +270,53 @@ def test_round_trip_property(identity, grid, dim, occ):
         os.unlink(path)
 
 
-def test_non_finite_patch_in_file_rejected(tmp_path):
-    g, _ = generate_synthetic(small_cfg())
+# small_cfg's records: identity, occlusion code, image vector, 16 patches, 16-d
+_SMALL_RECORD_BYTES = 5 + 4 * 16 * 17
+_NAN = np.float32(np.nan).tobytes()
+
+
+@pytest.mark.parametrize("n_identities, record, offset, value", [
+    pytest.param(3, 1, 5 + 4 * 16 + 4 * 7, _NAN, id="patch"),
+    # the last record of a file that the load reads in more than one chunk
+    pytest.param(_READ_BYTES // _SMALL_RECORD_BYTES // 2 + 1, -1, 5 + 4 * 16 + 4 * 7, _NAN,
+                 id="patch-in-last-record-past-first-chunk"),
+    pytest.param(3, 1, 4, bytes([3]), id="occlusion-code-3"),
+])
+def test_non_finite_patch_in_file_rejected(tmp_path, n_identities, record, offset, value):
+    g, _ = generate_synthetic(small_cfg(n_identities=n_identities))
     path = tmp_path / "g"
     save_records(g, path)
+    assert path.stat().st_size == 14 + len(g) * _SMALL_RECORD_BYTES
     data = bytearray(path.read_bytes())
-    rec = g.records[0]
-    # header (14 bytes for version 2), then record 1: identity, occlusion, image vector
-    at = 14 + (5 + 4 * rec.dim * (1 + rec.n_patches)) + 5 + 4 * rec.dim + 4 * 7
-    data[at:at + 4] = np.float32(np.nan).tobytes()
+    # header (14 bytes for version 2), then the records
+    at = 14 + (record % len(g)) * _SMALL_RECORD_BYTES + offset
+    data[at:at + len(value)] = value
     path.write_bytes(bytes(data))
     with pytest.raises(ValueError):
         load_gallery(path)
+
+
+def _rss_file_kb() -> int:
+    try:
+        with open("/proc/self/status") as fh:
+            status = dict(line.split(":", 1) for line in fh)
+    except OSError:
+        pytest.skip("no /proc/self/status")
+    if "RssFile" not in status:
+        pytest.skip("no RssFile in /proc/self/status")
+    return int(status["RssFile"].split()[0])
+
+
+def test_loading_leaves_the_patches_unmapped(tmp_path):
+    # 160 records of 512-d with 8x8 patches: a 20.8 MB file
+    g, _ = generate_synthetic(small_cfg(n_identities=80, dim=DEFAULT_DIM, grid=8))
+    path = tmp_path / "g"
+    save_records(g, path)
+    before = _rss_file_kb()
+    loaded = load_gallery(path)
+    grown = _rss_file_kb() - before
+    assert len(loaded) == 160
+    assert grown * 1024 < 0.25 * path.stat().st_size, f"RssFile grew by {grown} kB"
 
 
 # -- float32 patches mapped from the file --------------------------------------
