@@ -7,33 +7,11 @@ loss and its gradients stay finite at exactly aligned or opposed features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autograd import Tensor, log_softmax
 
 _COS_CLAMP = 1e-7
-
-
-@dataclass
-class ArcFaceParams:
-    margin: float            # radians
-    scale: float
-    class_weights: np.ndarray  # (C, dim); rows are L2-normalized before use
-
-    def __post_init__(self):
-        self.class_weights = np.asarray(self.class_weights, dtype=np.float64)
-        if not (0.0 <= self.margin < np.pi / 2):
-            raise ValueError("margin must lie in [0, pi/2)")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        if self.class_weights.ndim != 2:
-            raise ValueError("class_weights must be a C x dim matrix")
-
-    @property
-    def n_classes(self) -> int:
-        return self.class_weights.shape[0]
 
 
 def _normalize_rows(x: Tensor, what: str) -> Tensor:
@@ -67,12 +45,3 @@ def arcface_loss_t(features: Tensor, labels: np.ndarray, class_weights: Tensor,
     nll = -(log_softmax(logits, axis=1) * onehot).sum()
     return nll * (1.0 / labels.shape[0])
 
-
-def arcface_loss(features: np.ndarray, labels: np.ndarray,
-                 p: ArcFaceParams) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean loss over the batch plus gradients w.r.t. features and class weights."""
-    f = Tensor(np.asarray(features, dtype=np.float64), requires_grad=True)
-    w = Tensor(p.class_weights, requires_grad=True)
-    loss = arcface_loss_t(f, labels, w, p.margin, p.scale)
-    loss.backward()
-    return float(loss.value), {"features": f.grad, "class_weights": w.grad}

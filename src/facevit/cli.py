@@ -149,8 +149,11 @@ def _cmd_train_toy(args) -> int:
         conf = json.load(fh)
     m = dict(conf["model"])
     m["variant"] = Variant(m["variant"])
-    model_cfg = ModelConfig(**m)
-    tc = TrainConfig(**conf.get("train", {}))
+    try:
+        model_cfg = ModelConfig(**m)
+        tc = TrainConfig(**conf.get("train", {}))
+    except TypeError as exc:  # an unknown or missing key in a section
+        raise ValueError(f"{args.config}: {exc}") from exc
     gallery = load_gallery(args.data)
     state, history = train(model_cfg, None, gallery, tc)
     save_weights(state.weights, args.out)

@@ -13,6 +13,8 @@ candidates; the query goes in at batch size 1, so its tokens are built once.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -42,7 +44,7 @@ class VariantError(ValueError):
     pass
 
 
-class WeightFormatError(Exception):
+class WeightFormatError(ValueError):
     pass
 
 
@@ -382,53 +384,49 @@ _VARIANT_CODES = {Variant.H1: 0, Variant.H2: 1, Variant.H2L: 2}
 _CODE_VARIANTS = {v: k for k, v in _VARIANT_CODES.items()}
 
 
+def _fvwt_body(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """FVWT body blocks in file order, little-endian f32: parameters, then buffers."""
+    return {**param_shapes(cfg), **buffer_shapes(cfg)}
+
+
 def save_weights(w: ModelWeights, path) -> None:
     cfg = w.config
-    header = struct.pack(
-        _HEADER_FMT, _WEIGHT_MAGIC, 1, _VARIANT_CODES[cfg.variant], cfg.depth,
-        cfg.heads, cfg.dim, cfg.n_patches, cfg.head_dim, cfg.mlp_width, cfg.out_dim)
-    chunks = [header]
-    for name, shape in param_shapes(cfg).items():
-        arr = w.params[name]
-        if arr.shape != shape:
-            raise ValueError(f"parameter {name} has shape {arr.shape}, expected {shape}")
-        chunks.append(arr.astype("<f4").tobytes())
-    for name, shape in buffer_shapes(cfg).items():
-        chunks.append(w.buffers[name].astype("<f4").tobytes())
+    blocks = {**w.params, **w.buffers}
     with atomic_write(path) as fh:
-        fh.write(b"".join(chunks))
+        fh.write(struct.pack(
+            _HEADER_FMT, _WEIGHT_MAGIC, 1, _VARIANT_CODES[cfg.variant], cfg.depth,
+            cfg.heads, cfg.dim, cfg.n_patches, cfg.head_dim, cfg.mlp_width, cfg.out_dim))
+        for name, shape in _fvwt_body(cfg).items():
+            if blocks[name].shape != shape:
+                raise ValueError(f"block {name} has shape {blocks[name].shape}, expected {shape}")
+            fh.write(blocks[name].astype("<f4").tobytes())
 
 
 def load_weights(path, expect: ModelConfig | None = None) -> ModelWeights:
+    """Checks the file's size against the body its header describes before it
+    allocates anything for the body, then reads the body in one call."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER_SIZE or data[:4] != _WEIGHT_MAGIC:
-        raise WeightFormatError(f"{path}: not an FVWT file")
-    magic, version, vcode, depth, heads, dim, n_patches, head_dim, mlp_width, out_dim = \
-        struct.unpack(_HEADER_FMT, data[:_HEADER_SIZE])
-    if version != 1:
-        raise WeightFormatError(f"{path}: unsupported FVWT version {version}")
-    if vcode not in _CODE_VARIANTS:
-        raise WeightFormatError(f"{path}: unknown variant code {vcode}")
-    cfg = ModelConfig(_CODE_VARIANTS[vcode], depth, heads, dim, n_patches, head_dim,
-                      mlp_width, out_dim)
-    if expect is not None and cfg != expect:
-        raise WeightFormatError(f"{path}: weight header {cfg} does not match expected {expect}")
-    off = _HEADER_SIZE
-    params: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(cfg).items():
-        size = 4 * int(np.prod(shape))
-        if off + size > len(data):
-            raise WeightFormatError(f"{path}: truncated parameter block {name}")
-        params[name] = np.frombuffer(data[off:off + size], dtype="<f4").astype(np.float64).reshape(shape)
-        off += size
-    buffers: dict[str, np.ndarray] = {}
-    for name, shape in buffer_shapes(cfg).items():
-        size = 4 * int(np.prod(shape))
-        if off + size > len(data):
-            raise WeightFormatError(f"{path}: truncated buffer block {name}")
-        buffers[name] = np.frombuffer(data[off:off + size], dtype="<f4").astype(np.float64).reshape(shape)
-        off += size
-    if off != len(data):
-        raise WeightFormatError(f"{path}: {len(data) - off} trailing bytes")
-    return ModelWeights(cfg, params, buffers)
+        head = fh.read(_HEADER_SIZE)
+        if len(head) < _HEADER_SIZE or head[:4] != _WEIGHT_MAGIC:
+            raise WeightFormatError(f"{path}: not an FVWT file")
+        _, version, vcode, *dims = struct.unpack(_HEADER_FMT, head)
+        if version != 1:
+            raise WeightFormatError(f"{path}: unsupported FVWT version {version}")
+        if vcode not in _CODE_VARIANTS:
+            raise WeightFormatError(f"{path}: unknown variant code {vcode}")
+        cfg = ModelConfig(_CODE_VARIANTS[vcode], *dims)
+        if expect is not None and cfg != expect:
+            raise WeightFormatError(f"{path}: weight header {cfg} does not match expected {expect}")
+        layout = _fvwt_body(cfg)
+        sizes = [math.prod(shape) for shape in layout.values()]
+        count, size = sum(sizes), os.fstat(fh.fileno()).st_size
+        if size != _HEADER_SIZE + 4 * count:
+            raise WeightFormatError(f"{path}: {size} bytes, where the header describes "
+                                    f"{_HEADER_SIZE + 4 * count}")
+        flat = np.fromfile(fh, "<f4", count)
+    if flat.size != count:
+        raise WeightFormatError(f"{path}: truncated while reading the body")
+    blocks = {name: part.astype(np.float64).reshape(shape)
+              for (name, shape), part in zip(layout.items(), np.split(flat, np.cumsum(sizes)[:-1]))}
+    buffers = {name: blocks.pop(name) for name in buffer_shapes(cfg)}
+    return ModelWeights(cfg, blocks, buffers)

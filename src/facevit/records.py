@@ -251,7 +251,7 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Gallery, QuerySet]:
 # FVEB binary format
 # ---------------------------------------------------------------------------
 
-class GalleryFormatError(Exception):
+class GalleryFormatError(ValueError):
     pass
 
 

@@ -18,9 +18,7 @@ from .autograd import Tensor, concat, log_softmax
 from .model import (ModelConfig, ModelWeights, Variant, h1_embed_batch,
                     h2_logits_batch, h2l_features, init_random, params_to_tensors)
 from .nn_core import grad_check
-from .records import Gallery, Occlusion, occluded_patch_indices
-
-_OCCLUDER_TAG = 2**32
+from .records import Gallery
 
 
 class TrainerError(Exception):
@@ -41,7 +39,6 @@ class TrainConfig:
     holdout_fraction: float = 0.25
     margin: float = 0.5
     scale: float = 30.0
-    occlude_holdout_fraction: float = 0.0  # fraction of held-out pairs given a masked query side
     grad_check_tol: float = 1e-4
 
     def validate(self) -> None:
@@ -53,6 +50,10 @@ class TrainConfig:
             raise ValueError("pairs_per_epoch and epochs must be positive")
         if not (0.0 < self.holdout_fraction < 1.0):
             raise ValueError("holdout_fraction must lie in (0, 1)")
+        if not (0.0 <= self.margin < np.pi / 2):
+            raise ValueError("margin must lie in [0, pi/2)")
+        if self.scale <= 0:
+            raise ValueError("scale must be positive")
 
 
 Pair = tuple[int, int, bool]  # (record index, record index, same identity)
@@ -213,22 +214,6 @@ class _Adam:
             params[name] -= lr * m_hat / (np.sqrt(v_hat) + tc.adam_eps)
 
 
-def _occlude_holdout(g: Gallery, pairs: list[Pair], fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair blocks for evaluation, with a masked a-side on a fraction of pairs."""
-    pa, pb = _pair_blocks(g, pairs)
-    if fraction <= 0:
-        return pa, pb
-    grid = g.records[0].grid
-    dim = g.records[0].dim
-    rng = np.random.default_rng([seed & 0xFFFF_FFFF_FFFF_FFFF, _OCCLUDER_TAG])
-    occluder = rng.standard_normal((grid * grid, dim))
-    idx = occluded_patch_indices(Occlusion.MASK, grid)
-    n_occ = int(round(fraction * len(pairs)))
-    pa = pa.copy()
-    pa[:n_occ, idx, :] = occluder[idx]
-    return pa, pb
-
-
 def train(cfg: ModelConfig, weights: ModelWeights | None, data: Gallery,
           tc: TrainConfig) -> tuple[TrainState, list[dict]]:
     """Train and return the final state plus per-epoch history."""
@@ -252,7 +237,7 @@ def train(cfg: ModelConfig, weights: ModelWeights | None, data: Gallery,
 
     n_hold = max(2, 2 * round(tc.holdout_fraction * tc.pairs_per_epoch / 2))
     hold_pairs = sample_pairs(data, n_hold, tc.seed + 101)
-    hold_blocks = _occlude_holdout(data, hold_pairs, tc.occlude_holdout_fraction, tc.seed)
+    hold_blocks = _pair_blocks(data, hold_pairs)
     hold_labels = np.array([same for _, _, same in hold_pairs])
 
     adam = _Adam(tc)

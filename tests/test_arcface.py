@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 
-from facevit.arcface import ArcFaceParams, arcface_loss, arcface_loss_t
+from facevit.arcface import arcface_loss_t
 from facevit.autograd import Tensor
 from facevit.nn_core import grad_check
 
 
-def rand_params(rng, n_classes=4, dim=6, margin=0.5, scale=30.0):
-    return ArcFaceParams(margin, scale, rng.standard_normal((n_classes, dim)))
+def arcface_loss(features, labels, class_weights, margin=0.5, scale=30.0):
+    """Mean loss plus gradients w.r.t. features and class weights, through
+    `arcface_loss_t` on fresh leaf Tensors."""
+    f = Tensor(np.asarray(features, dtype=np.float64), requires_grad=True)
+    w = Tensor(np.asarray(class_weights, dtype=np.float64), requires_grad=True)
+    loss = arcface_loss_t(f, labels, w, margin, scale)
+    loss.backward()
+    return float(loss.value), {"features": f.grad, "class_weights": w.grad}
 
 
 def reference_loss(features, labels, weights, margin, scale):
@@ -28,23 +34,23 @@ def reference_loss(features, labels, weights, margin, scale):
 
 def test_matches_arccos_reference():
     rng = np.random.default_rng(0)
-    p = rand_params(rng)
+    w = rng.standard_normal((4, 6))
     feats = rng.standard_normal((5, 6))
     labels = rng.integers(0, 4, size=5)
-    loss, _ = arcface_loss(feats, labels, p)
-    ref = reference_loss(feats, labels, p.class_weights, p.margin, p.scale)
+    loss, _ = arcface_loss(feats, labels, w, 0.5, 30.0)
+    ref = reference_loss(feats, labels, w, 0.5, 30.0)
     assert abs(loss - ref) < 1e-10
 
 
 def test_zero_margin_reduces_to_cosine_softmax():
     rng = np.random.default_rng(1)
-    p = rand_params(rng, margin=0.0)
+    w = rng.standard_normal((4, 6))
     feats = rng.standard_normal((4, 6))
     labels = np.array([0, 1, 2, 3])
-    loss, _ = arcface_loss(feats, labels, p)
+    loss, _ = arcface_loss(feats, labels, w, 0.0, 30.0)
     fn = feats / np.linalg.norm(feats, axis=1, keepdims=True)
-    wn = p.class_weights / np.linalg.norm(p.class_weights, axis=1, keepdims=True)
-    logits = p.scale * np.clip(fn @ wn.T, -1 + 1e-7, 1 - 1e-7)
+    wn = w / np.linalg.norm(w, axis=1, keepdims=True)
+    logits = 30.0 * np.clip(fn @ wn.T, -1 + 1e-7, 1 - 1e-7)
     shifted = logits - logits.max(axis=1, keepdims=True)
     lp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     assert abs(loss - float(-lp[np.arange(4), labels].mean())) < 1e-10
@@ -55,25 +61,25 @@ def test_margin_increases_loss():
     feats = rng.standard_normal((6, 6))
     labels = rng.integers(0, 4, size=6)
     w = rng.standard_normal((4, 6))
-    l0, _ = arcface_loss(feats, labels, ArcFaceParams(0.0, 30.0, w))
-    l5, _ = arcface_loss(feats, labels, ArcFaceParams(0.5, 30.0, w))
+    l0, _ = arcface_loss(feats, labels, w, 0.0, 30.0)
+    l5, _ = arcface_loss(feats, labels, w, 0.5, 30.0)
     assert l5 > l0
 
 
 def test_scale_invariance_of_features():
     rng = np.random.default_rng(3)
-    p = rand_params(rng)
+    w = rng.standard_normal((4, 6))
     feats = rng.standard_normal((5, 6))
     labels = rng.integers(0, 4, size=5)
-    l1, _ = arcface_loss(feats, labels, p)
-    l2, _ = arcface_loss(2.0 * feats, labels, p)
+    l1, _ = arcface_loss(feats, labels, w, 0.5, 30.0)
+    l2, _ = arcface_loss(2.0 * feats, labels, w, 0.5, 30.0)
     assert abs(l1 - l2) < 1e-10
 
 
 def test_finite_at_exact_alignment():
     w = np.eye(3)
     feats = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    loss, grads = arcface_loss(feats, np.array([0, 0]), ArcFaceParams(0.5, 30.0, w))
+    loss, grads = arcface_loss(feats, np.array([0, 0]), w, 0.5, 30.0)
     assert np.isfinite(loss)
     assert np.all(np.isfinite(grads["features"]))
     assert np.all(np.isfinite(grads["class_weights"]))
@@ -96,15 +102,12 @@ def test_gradients_match_finite_differences():
 
 
 def test_validation_errors():
+    # margin and scale are checked by TrainConfig.validate (tests/test_trainer.py)
     rng = np.random.default_rng(5)
+    w = rng.standard_normal((4, 6))
     with pytest.raises(ValueError):
-        ArcFaceParams(-0.1, 30.0, rng.standard_normal((4, 6)))
+        arcface_loss(rng.standard_normal((2, 6)), np.array([0, 9]), w)
     with pytest.raises(ValueError):
-        ArcFaceParams(0.5, 0.0, rng.standard_normal((4, 6)))
-    p = rand_params(rng)
+        arcface_loss(np.zeros((2, 6)), np.array([0, 1]), w)
     with pytest.raises(ValueError):
-        arcface_loss(rng.standard_normal((2, 6)), np.array([0, 9]), p)
-    with pytest.raises(ValueError):
-        arcface_loss(np.zeros((2, 6)), np.array([0, 1]), p)
-    with pytest.raises(ValueError):
-        arcface_loss(np.full((2, 6), np.nan), np.array([0, 1]), p)
+        arcface_loss(np.full((2, 6), np.nan), np.array([0, 1]), w)

@@ -81,6 +81,35 @@ def test_rerank_h2l_without_weights_fails(synth, tmp_path):
                "--out", str(tmp_path / "x.csv")) == 1
 
 
+def test_malformed_files_exit_one_with_one_error_line(synth, tmp_path, capsys):
+    bad_gallery = tmp_path / "bad.fveb"
+    bad_gallery.write_bytes(b"NOPE" + bytes(6))
+    assert run("rank", "--gallery", str(bad_gallery), "--queries", str(bad_gallery),
+               "--out", str(tmp_path / "r.csv")) == 1
+    bad_weights = tmp_path / "bad.fvwt"
+    bad_weights.write_bytes(b"NOPE" + bytes(60))
+    assert run("rerank", "--gallery", synth + ".gallery", "--queries", synth + ".queries",
+               "--reranker", "h2l", "--weights", str(bad_weights), "--k", "4",
+               "--out", str(tmp_path / "x.csv"), "--workers", "1") == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: {bad_gallery}: not an FVEB file",
+                     f"error: {bad_weights}: not an FVWT file"]
+
+
+@pytest.mark.parametrize("section", ["model", "train"])
+def test_train_toy_unknown_config_key_exits_one(synth, tmp_path, capsys, section):
+    conf = {"model": {"variant": "h2l", "depth": 1, "heads": 2, "dim": 16,
+                      "n_patches": 16, "out_dim": 16},
+            "train": {"pairs_per_epoch": 16, "epochs": 1, "batch_size": 8}}
+    conf[section]["bogus"] = 1
+    path = tmp_path / "train.json"
+    path.write_text(json.dumps(conf))
+    assert run("train-toy", "--config", str(path), "--data", synth + ".gallery",
+               "--out", str(tmp_path / "w.fvwt")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "bogus" in err
+
+
 def test_missing_file_exits_one(tmp_path):
     assert run("rank", "--gallery", str(tmp_path / "nope.gallery"),
                "--queries", str(tmp_path / "nope.queries"),

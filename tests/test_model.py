@@ -1,9 +1,14 @@
 """Transformer variants: token layout, forward paths, scorer parity, weight files."""
 
+import math
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from facevit.model import (H2LScorer, ModelConfig, ModelWeights, Variant,
+from facevit.model import (_HEADER_FMT, _HEADER_SIZE, _VARIANT_CODES, H2LScorer,
+                           ModelConfig, ModelWeights, Variant,
                            VariantError, WeightFormatError, _encode, assemble_tokens_batch,
                            buffer_shapes, cosine, h1_embed_batch, h2_logits_batch,
                            h2l_features, init_random, load_weights, param_shapes,
@@ -229,6 +234,9 @@ def test_weight_round_trip_bit_exact(tmp_path, variant):
         np.testing.assert_array_equal(loaded.params[k], w.params[k])
     for k in w.buffers:
         np.testing.assert_array_equal(loaded.buffers[k], w.buffers[k])
+    blocks = [*loaded.params.values(), *loaded.buffers.values()]
+    assert all(b.dtype == np.float64 for b in blocks)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(blocks) for b in blocks[i + 1:])
     # save(load(x)) is byte-identical
     path2 = tmp_path / "w2.fvwt"
     save_weights(loaded, path2)
@@ -245,16 +253,72 @@ def test_weight_file_errors(tmp_path):
     with pytest.raises(WeightFormatError):
         load_weights(tmp_path / "magic")
 
-    (tmp_path / "trunc").write_bytes(data[:-5])
-    with pytest.raises(WeightFormatError):
-        load_weights(tmp_path / "trunc")
+    for cut in (5, 4, 1, len(data) - 24, len(data) - 10, len(data)):
+        (tmp_path / "trunc").write_bytes(data[:-cut])
+        with pytest.raises(WeightFormatError):
+            load_weights(tmp_path / "trunc")
 
-    (tmp_path / "trail").write_bytes(data + b"\x00\x00")
-    with pytest.raises(WeightFormatError):
-        load_weights(tmp_path / "trail")
+    for tail in (b"\x00\x00", b"\x00" * 4, data[24:]):
+        (tmp_path / "trail").write_bytes(data + tail)
+        with pytest.raises(WeightFormatError):
+            load_weights(tmp_path / "trail")
 
     with pytest.raises(WeightFormatError):
         load_weights(path, expect=toy_cfg(depth=3))
+
+
+def fvwt_header(cfg):
+    return struct.pack(_HEADER_FMT, b"FVWT", 1, _VARIANT_CODES[cfg.variant], cfg.depth,
+                       cfg.heads, cfg.dim, cfg.n_patches, cfg.head_dim, cfg.mlp_width,
+                       cfg.out_dim)
+
+
+def body_bytes(cfg):
+    shapes = {**param_shapes(cfg), **buffer_shapes(cfg)}
+    return 4 * sum(math.prod(shape) for shape in shapes.values())
+
+
+def peak_bytes_of_rejected_load(path):
+    tracemalloc.start()
+    try:
+        with pytest.raises(WeightFormatError):
+            load_weights(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wrong_size_rejected_before_the_body_is_read(tmp_path):
+    nope = tmp_path / "nope"
+    with open(nope, "wb") as fh:
+        fh.write(b"NOPE")
+        fh.truncate(64 << 20)  # sparse
+    cfg = toy_cfg(depth=1, dim=256, n_patches=64, out_dim=256)
+    short = tmp_path / "short"
+    with open(short, "wb") as fh:
+        fh.write(fvwt_header(cfg))
+        fh.truncate(_HEADER_SIZE + body_bytes(cfg) - 4)
+    assert body_bytes(cfg) > 32 << 20
+    assert peak_bytes_of_rejected_load(nope) < 1 << 20
+    assert peak_bytes_of_rejected_load(short) < 1 << 20
+
+
+def test_header_describing_a_huge_body_rejected(tmp_path):
+    cfg = ModelConfig(Variant.H2L, depth=1, heads=1, dim=60000, n_patches=60000,
+                      head_dim=8, mlp_width=8, out_dim=8)
+    assert body_bytes(cfg) > 2 << 30
+    path = tmp_path / "huge"
+    path.write_bytes(fvwt_header(cfg) + bytes(64))
+    with pytest.raises(WeightFormatError):
+        load_weights(path)
+
+
+def test_save_checks_buffer_shapes(tmp_path):
+    w = init_random(toy_cfg(depth=1), 0)
+    w.buffers["head.bn1_var"] = np.ones(w.config.out_dim + 1)
+    with pytest.raises(ValueError):
+        save_weights(w, tmp_path / "w.fvwt")
+    assert not list(tmp_path.iterdir())
 
 
 def test_params_to_tensors_requires_grad_flag():

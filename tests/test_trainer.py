@@ -143,6 +143,10 @@ def test_config_validation():
         quick_tc(holdout_fraction=0.0).validate()
     with pytest.raises(ValueError):
         quick_tc(epochs=0).validate()
+    with pytest.raises(ValueError):
+        quick_tc(margin=-0.1).validate()
+    with pytest.raises(ValueError):
+        quick_tc(scale=0.0).validate()
 
 
 def test_pair_scores_shapes_per_variant():
