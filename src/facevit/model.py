@@ -7,8 +7,9 @@ embeddings are added.
 
 One forward serves every caller. `h2l_features` runs on autodiff Tensors: the
 trainer and the gradient checks run it in float64 with gradients, and
-`H2LScorer` runs it in float32 without, to re-rank a query against a batch of
-candidates; the query goes in at batch size 1, so its tokens are built once.
+`H2LScorer` runs it in float32 without, on the f32 blocks `load_weights`
+reads, to re-rank a query against blocks of candidates; the query goes in at
+batch size 1, so its tokens are built once per block.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ _LN_EPS = 1e-6
 _BN_EPS = 1e-5
 
 _ALLOWED_HEADS = (1, 2, 4, 6, 8)
+_SCORE_BLOCK_ROWS = 4096  # token rows per H2LScorer forward; each MLP temporary is rows x mlp_width
 
 
 class Variant(Enum):
@@ -174,6 +176,12 @@ def init_random(cfg: ModelConfig, seed: int) -> ModelWeights:
     return ModelWeights(cfg, params, buffers)
 
 
+def cast_weights(w: ModelWeights, dtype, copy: bool = False) -> ModelWeights:
+    """`w` with every block in `dtype`; a block already in it is shared unless `copy`."""
+    return ModelWeights(w.config, {k: v.astype(dtype, copy=copy) for k, v in w.params.items()},
+                        {k: v.astype(dtype, copy=copy) for k, v in w.buffers.items()})
+
+
 def params_to_tensors(w: ModelWeights, requires_grad: bool = False) -> dict[str, Tensor]:
     return {k: Tensor(v, requires_grad=requires_grad) for k, v in w.params.items()}
 
@@ -297,11 +305,12 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 def score_pair_h2l(a: FaceRecord, b: FaceRecord, w: ModelWeights,
                    add_pos: bool = True) -> tuple[float, np.ndarray, np.ndarray]:
-    """Pair similarity in [-1, 1] plus the two cross-attention features."""
+    """Pair similarity in [-1, 1] plus the two cross-attention features, in f64
+    whatever the weights' dtype (f32 weights are upcast per call)."""
     _check_patches(a, w.config)
     _check_patches(b, w.config)
-    f1, f2, _ = h2l_features(w, np.asarray(a.patches[None], dtype=np.float64),
-                             np.asarray(b.patches[None], dtype=np.float64), add_pos=add_pos)
+    pa, pb = (np.asarray(r.patches[None], dtype=np.float64) for r in (a, b))
+    f1, f2, _ = h2l_features(cast_weights(w, np.float64), pa, pb, add_pos=add_pos)
     v1, v2 = f1.value[0], f2.value[0]
     if not (np.all(np.isfinite(v1)) and np.all(np.isfinite(v2))):
         raise ValueError("non-finite activations in H2L forward")
@@ -338,24 +347,22 @@ def h1_embed_batch(w: ModelWeights, patches: np.ndarray,
 # ---------------------------------------------------------------------------
 
 class H2LScorer:
-    """Forward-only H2L scoring of one query against a batch of gallery
-    candidates through `h2l_features`. The query goes in at batch size 1, so
-    its tokens, their first layer norm and their Q/K/V are computed once per
-    call rather than once per candidate.
+    """Forward-only H2L scoring of one query against gallery candidates
+    through `h2l_features`, in blocks of about `_SCORE_BLOCK_ROWS` token rows.
+    The query goes in at batch size 1, so its tokens, their first layer norm
+    and their Q/K/V are computed once per block rather than per candidate.
 
     Defaults to float32 compute: training and gradient checks stay float64,
     but this inference hot loop is GEMM-bound, and f32 roughly halves its
     wall-clock and takes the float32 erf in GELU, at a per-score error around
-    1e-7, far below the score gaps that matter for ranking. The weights are
-    cast once, here."""
+    1e-7, far below the score gaps that matter for ranking. Weights already
+    in `dtype` are shared, not copied; others are cast once, here."""
 
     def __init__(self, w: ModelWeights, add_pos: bool = True, dtype=np.float32):
         _require_variant(w.config, Variant.H2L)
         self.add_pos = add_pos
         self.dtype = np.dtype(dtype)
-        self.w = ModelWeights(w.config,
-                              {k: v.astype(self.dtype) for k, v in w.params.items()},
-                              {k: v.astype(self.dtype) for k, v in w.buffers.items()})
+        self.w = cast_weights(w, self.dtype)
         self.p = params_to_tensors(self.w)
 
     def score_against(self, query: FaceRecord, candidates: list[tuple[int, FaceRecord]]) -> np.ndarray:
@@ -366,12 +373,18 @@ class H2LScorer:
         cfg = self.w.config
         _check_patches(query, cfg)
         patches_a = query.patches[None].astype(self.dtype)
-        patches_b = np.stack([rec.patches for _, rec in candidates], dtype=self.dtype)
+        k = len(candidates)
+        n_blocks = max(1, -(-k * cfg.seq_len // _SCORE_BLOCK_ROWS))  # sizes differ by at most one
+        feats = []
         # every non-finite score is returned as NaN, so the overflow and
         # invalid-value warnings on the way there carry no information
         with np.errstate(over="ignore", invalid="ignore"):
-            f1, f2, _ = h2l_features(self.w, patches_a, patches_b, p=self.p, add_pos=self.add_pos)
-            f1, f2 = f1.value.astype(np.float64), f2.value.astype(np.float64)
+            for i in range(n_blocks):
+                block = candidates[k * i // n_blocks:k * (i + 1) // n_blocks]
+                patches_b = np.stack([rec.patches for _, rec in block], dtype=self.dtype)
+                f1, f2, _ = h2l_features(self.w, patches_a, patches_b, p=self.p, add_pos=self.add_pos)
+                feats.append((f1.value, f2.value))
+            f1, f2 = (np.concatenate(f, dtype=np.float64) for f in zip(*feats))
             scores = np.einsum("bi,bi->b", f1, f2) / (np.linalg.norm(f1, axis=1) * np.linalg.norm(f2, axis=1))
         return np.where(np.isfinite(scores), scores, np.nan)
 
@@ -404,7 +417,8 @@ def save_weights(w: ModelWeights, path) -> None:
 
 def load_weights(path, expect: ModelConfig | None = None) -> ModelWeights:
     """Checks the file's size against the body its header describes before it
-    allocates anything for the body, then reads the body in one call."""
+    allocates anything for the body, then reads the body in one call. Every
+    block is an f32 view of that one body array; no two blocks overlap."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_SIZE)
         if len(head) < _HEADER_SIZE or head[:4] != _WEIGHT_MAGIC:
@@ -426,7 +440,7 @@ def load_weights(path, expect: ModelConfig | None = None) -> ModelWeights:
         flat = np.fromfile(fh, "<f4", count)
     if flat.size != count:
         raise WeightFormatError(f"{path}: truncated while reading the body")
-    blocks = {name: part.astype(np.float64).reshape(shape)
+    blocks = {name: part.reshape(shape)
               for (name, shape), part in zip(layout.items(), np.split(flat, np.cumsum(sizes)[:-1]))}
     buffers = {name: blocks.pop(name) for name in buffer_shapes(cfg)}
     return ModelWeights(cfg, blocks, buffers)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .arcface import arcface_loss_t
 from .autograd import Tensor, concat, log_softmax
-from .model import (ModelConfig, ModelWeights, Variant, h1_embed_batch,
+from .model import (ModelConfig, ModelWeights, Variant, cast_weights, h1_embed_batch,
                     h2_logits_batch, h2l_features, init_random, params_to_tensors)
 from .nn_core import grad_check
 from .records import Gallery
@@ -220,8 +220,7 @@ def train(cfg: ModelConfig, weights: ModelWeights | None, data: Gallery,
     tc.validate()
     if weights is None:
         weights = init_random(cfg, tc.seed)
-    weights = ModelWeights(cfg, {k: v.copy() for k, v in weights.params.items()},
-                           {k: v.copy() for k, v in weights.buffers.items()})
+    weights = cast_weights(weights, np.float64, copy=True)
     identities = np.unique(data.identities).tolist()
     class_of = {ident: i for i, ident in enumerate(identities)}
     uses_arcface = cfg.variant in (Variant.H2L, Variant.H1)

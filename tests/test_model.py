@@ -149,6 +149,51 @@ def test_scorer_f32_mode_close_to_f64():
     np.testing.assert_allclose(s32, s64, atol=1e-4)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_scorer_blocks_equal_one_block_forward(monkeypatch, dtype):
+    # 250 candidates of 34 token rows are 8,500 rows, three blocks of at most
+    # 4,096: 83, 83 and 84 candidates. No block holds one candidate. A
+    # 1-candidate block has the query's batch size, so the encoder joins the
+    # two token blocks into one before the first layer, and its scores differ
+    # from a batched forward's in the last bits (7e-16 in f64 and 5e-7 in f32
+    # on this data); blocks of two or more give the batched forward's bits.
+    w = init_random(toy_cfg(depth=2), 9)
+    g, q = toy_data(n_identities=25, per_id=10)
+    cands = [(i, r) for i, r in enumerate(g.records)]
+    scorer = H2LScorer(w, dtype=dtype)
+    sizes = []
+
+    def recording(w, patches_a, patches_b, **kw):
+        sizes.append(len(patches_b))
+        return h2l_features(w, patches_a, patches_b, **kw)
+
+    monkeypatch.setattr("facevit.model.h2l_features", recording)
+    scores = scorer.score_against(q.records[0], cands)
+    assert sizes == [83, 83, 84]
+    pa = q.records[0].patches[None].astype(dtype)
+    pb = np.stack([r.patches for r in g.records]).astype(dtype)
+    f1, f2, _ = h2l_features(scorer.w, pa, pb, p=scorer.p)
+    f1, f2 = f1.value.astype(np.float64), f2.value.astype(np.float64)
+    ref = np.einsum("bi,bi->b", f1, f2) / (np.linalg.norm(f1, axis=1) * np.linalg.norm(f2, axis=1))
+    np.testing.assert_array_equal(scores, ref)
+
+
+def test_score_pair_h2l_is_f64_whatever_the_weights_dtype(tmp_path):
+    # a loaded file's blocks are f32; the reference forward upcasts them, so
+    # it gives exactly what the f64 weights they were saved from give
+    w = init_random(toy_cfg(depth=2), 12)
+    save_weights(w, tmp_path / "w.fvwt")
+    loaded = load_weights(tmp_path / "w.fvwt")
+    g, q = toy_data()
+    for r in g.records:
+        ref = score_pair_h2l(q.records[0], r, w)
+        got = score_pair_h2l(q.records[0], r, loaded)
+        assert got[0] == ref[0]
+        for a, b in zip(got[1:], ref[1:]):
+            assert a.dtype == np.float64
+            np.testing.assert_array_equal(a, b)
+
+
 def test_scorer_respects_no_pos_toggle():
     w = init_random(toy_cfg(depth=1), 4)
     g, q = toy_data()
@@ -235,8 +280,13 @@ def test_weight_round_trip_bit_exact(tmp_path, variant):
     for k in w.buffers:
         np.testing.assert_array_equal(loaded.buffers[k], w.buffers[k])
     blocks = [*loaded.params.values(), *loaded.buffers.values()]
-    assert all(b.dtype == np.float64 for b in blocks)
+    assert all(b.dtype == np.float32 for b in blocks)
     assert not any(np.shares_memory(a, b) for i, a in enumerate(blocks) for b in blocks[i + 1:])
+    if variant is Variant.H2L:
+        # an f32 scorer takes the loaded blocks as they are, without a copy
+        scorer = H2LScorer(loaded)
+        for name, block in {**loaded.params, **loaded.buffers}.items():
+            assert np.shares_memory({**scorer.w.params, **scorer.w.buffers}[name], block)
     # save(load(x)) is byte-identical
     path2 = tmp_path / "w2.fvwt"
     save_weights(loaded, path2)

@@ -148,6 +148,14 @@ def poisoned_toy_data():
     return Gallery(records=records), q
 
 
+class CountingScorer(H2LScorer):
+    calls = 0
+
+    def score_against(self, query, candidates):
+        self.calls += 1
+        return super().score_against(query, candidates)
+
+
 def test_h2l_non_finite_score_is_flagged():
     g, q = poisoned_toy_data()
     cfg = PipelineConfig(k=len(g), alpha=0.7, reranker=Reranker.H2L, weights=h2l_weights())
@@ -160,19 +168,32 @@ def test_h2l_non_finite_score_is_flagged():
 
 
 def test_h2l_non_finite_score_costs_one_batched_call():
-    class CountingScorer(H2LScorer):
-        calls = 0
-
-        def score_against(self, query, candidates):
-            self.calls += 1
-            return super().score_against(query, candidates)
-
     g, q = poisoned_toy_data()
     cfg = PipelineConfig(k=len(g), alpha=0.7, reranker=Reranker.H2L, weights=h2l_weights())
     scorer = CountingScorer(cfg.weights)
     res = run_query(q.records[0], g, cfg, scorer)
     assert scorer.calls == 1
     assert res.flagged == 1
+
+
+def test_h2l_poisoned_candidate_in_a_middle_block_flags_only_it():
+    # 250 candidates of 34 token rows are scored in three blocks of 83, 83
+    # and 84 in stage-1 order; stage-1 position 125 is in the middle one
+    g, q = toy_data(n_identities=25, per_id=10)
+    cfg = PipelineConfig(k=len(g), alpha=0.7, reranker=Reranker.H2L, weights=h2l_weights())
+    clean = run_query(q.records[0], g, cfg)
+    victim = int(stage1_rank(q.records[0], g)[0][125])
+    records = list(g.records)
+    records[victim] = dataclasses.replace(records[victim],
+                                          patches=np.full_like(records[victim].patches, 1e20))
+    scorer = CountingScorer(cfg.weights)
+    res = run_query(q.records[0], Gallery(records=records), cfg, scorer)
+    assert scorer.calls == 1
+    assert res.flagged == 1
+    # every other candidate keeps the score it has without the poisoned one
+    expected, got = dict(zip(clean.order, clean.stage2)), dict(zip(res.order, res.stage2))
+    assert np.isnan(got.pop(victim)) and not np.isnan(expected.pop(victim))
+    assert got == expected
 
 
 def test_h2l_non_finite_score_raises_no_warning():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from facevit.model import ModelConfig, Variant, init_random
+from facevit.model import ModelConfig, Variant, init_random, load_weights, save_weights
 from facevit.records import Gallery, SynthConfig, generate_synthetic
 from facevit.trainer import (TrainConfig, TrainerError, best_threshold,
                              pair_accuracy, pair_scores, sample_pairs, train,
@@ -116,6 +116,19 @@ def test_training_does_not_mutate_input_weights():
     train(toy_model(), w0, g, quick_tc(epochs=1))
     for k, v in snapshot.items():
         np.testing.assert_array_equal(w0.params[k], v)
+
+
+def test_training_from_loaded_f32_weights_runs_in_f64(tmp_path):
+    g = toy_gallery()
+    w0 = init_random(toy_model(), 0)
+    save_weights(w0, tmp_path / "w.fvwt")
+    loaded = load_weights(tmp_path / "w.fvwt")
+    s1, h1 = train(toy_model(), w0, g, quick_tc())
+    s2, h2 = train(toy_model(), loaded, g, quick_tc())
+    assert h1 == h2
+    for k, v in s1.weights.params.items():
+        assert s2.weights.params[k].dtype == np.float64
+        np.testing.assert_array_equal(s2.weights.params[k], v)
 
 
 def test_zero_lr_leaves_weights_unchanged():
