@@ -176,11 +176,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return ensure_tensor(other, self) / self
 
-    def __pow__(self, exponent: float):
-        def bwd(g, a=self, e=exponent):
-            a._accumulate(g * e * np.power(a.value, e - 1))
-        return Tensor._make(np.power(self.value, exponent), (self,), bwd)
-
     def __matmul__(self, other):
         other = ensure_tensor(other, self)
         def bwd(g, a=self, b=other):

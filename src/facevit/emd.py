@@ -13,6 +13,7 @@ import numpy as np
 from .records import FaceRecord
 
 _WEIGHT_FLOOR = 1e-4
+_CHECK_EVERY = 5  # Sinkhorn iterations between convergence checks
 
 
 class WeightScheme(Enum):
@@ -64,7 +65,6 @@ def sinkhorn(
     max_iters: int = 500,
     tol: float = 1e-6,
     fixed_iters: int | None = None,
-    check_every: int = 5,
 ) -> SinkhornResult:
     """Log-domain Sinkhorn. Alternates the two potential updates until both
     marginal L1 violations drop below tol, or for exactly `fixed_iters`
@@ -98,7 +98,7 @@ def sinkhorn(
         g = eps * (log_v - np.log(np.exp(m - mx[None, :]).sum(axis=0)) - mx)
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
             raise SinkhornError("non-finite scaling potentials")
-        if fixed_iters is None and (it % check_every == 0 or it == n_iters):
+        if fixed_iters is None and (it % _CHECK_EVERY == 0 or it == n_iters):
             p = plan()
             err = np.abs(p.sum(axis=1) - u).sum() + np.abs(p.sum(axis=0) - v).sum()
             if err < tol:

@@ -39,11 +39,6 @@ class LayerParams:
     ln2_b: np.ndarray
 
 
-def _check_finite(x: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"non-finite values in {what}")
-
-
 # ---------------------------------------------------------------------------
 # primitives (Tensor form)
 # ---------------------------------------------------------------------------
@@ -89,8 +84,6 @@ def multi_head_attention_t(tokens, p: LayerParams) -> tuple[Tensor, np.ndarray]:
     (..., heads, T, T) as plain arrays for the explainer.
     """
     blocks = _token_blocks(tokens)
-    for b in blocks:
-        _check_finite(b.value, "attention input")
     wq = ensure_tensor(p.wq)
     d_inner = wq.value.shape[1]
     if d_inner % p.heads != 0:

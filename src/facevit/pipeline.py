@@ -60,7 +60,7 @@ class RankingResult:
     stage2: np.ndarray           # aligned with order; NaN outside the shortlist
     blended: np.ndarray          # aligned with order
     predicted_identity: int
-    flagged: int = 0             # shortlist candidates whose reranker call failed
+    flagged: int = 0             # shortlist candidates without a finite stage-2 score
 
 
 def stage1_rank(q: FaceRecord, g: Gallery) -> tuple[np.ndarray, np.ndarray]:
@@ -84,33 +84,23 @@ def _minmax(x: np.ndarray) -> np.ndarray:
 
 
 def _stage2_scores(q: FaceRecord, g: Gallery, shortlist: np.ndarray,
-                   cfg: PipelineConfig, scorer: H2LScorer | None) -> tuple[np.ndarray, int]:
-    """Stage-2 scores of the shortlist and the number flagged: a candidate
-    whose reranker call raised or gave a non-finite score is NaN and flagged."""
+                   cfg: PipelineConfig, scorer: H2LScorer | None) -> np.ndarray:
+    """Stage-2 scores of the shortlist, NaN where the reranker gave none. H2L
+    scores the whole shortlist in one call; EMD solves one problem per
+    candidate and gives none for a candidate it cannot solve (a zero-norm
+    patch row is legal FVEB data but has no direction for the cost)."""
+    if cfg.reranker is Reranker.H2L:
+        return scorer.score_against(q, [(int(j), g[j]) for j in shortlist])
     scores = np.full(len(shortlist), np.nan)
-    if cfg.reranker is Reranker.EMD:
-        for pos, j in enumerate(shortlist):
-            try:
-                scores[pos] = emd_similarity(
-                    q, g[j], scheme=cfg.emd.scheme, eps=cfg.emd.eps,
-                    max_iters=cfg.emd.max_iters, tol=cfg.emd.tol,
-                    fixed_iters=cfg.emd.fixed_iters)
-            except (ValueError, ArithmeticError):
-                pass
-    elif cfg.reranker is Reranker.H2L:
-        candidates = [(int(j), g[j]) for j in shortlist]
+    for pos, j in enumerate(shortlist):
         try:
-            scores[:] = scorer.score_against(q, candidates)
+            scores[pos] = emd_similarity(
+                q, g[j], scheme=cfg.emd.scheme, eps=cfg.emd.eps,
+                max_iters=cfg.emd.max_iters, tol=cfg.emd.tol,
+                fixed_iters=cfg.emd.fixed_iters)
         except (ValueError, ArithmeticError):
-            # the forward raised for the whole batch: find the candidates it raises on
-            for pos, cand in enumerate(candidates):
-                try:
-                    scores[pos] = scorer.score_against(q, [cand])[0]
-                except (ValueError, ArithmeticError):
-                    pass
-    bad = ~np.isfinite(scores)
-    scores[bad] = np.nan
-    return scores, int(bad.sum())
+            pass
+    return scores
 
 
 def stage2_rerank(q: FaceRecord, g: Gallery, stage1_order: np.ndarray,
@@ -118,46 +108,49 @@ def stage2_rerank(q: FaceRecord, g: Gallery, stage1_order: np.ndarray,
                   scorer: H2LScorer | None = None,
                   query_index: int = 0) -> RankingResult:
     """Re-rank the top-k shortlist; below k the stage-1 order is untouched and
-    shortlist members always stay above non-members."""
+    shortlist members always stay above non-members. Shapes are checked
+    before any reranker runs, so a mismatch raises `ValueError` rather than
+    flagging every candidate."""
     cfg.validate(len(g))
-    if cfg.reranker is Reranker.H2L and scorer is None:
-        scorer = H2LScorer(cfg.weights, add_pos=cfg.add_pos)
+    n = len(stage1_order)
+    if cfg.reranker is Reranker.NONE:
+        return RankingResult(query_index, q.identity, stage1_order.copy(), stage1_scores.copy(),
+                             np.full(n, np.nan), stage1_scores.copy(),
+                             int(g.identities[stage1_order[0]]))
+    shape = g.patches.shape[1:]
+    if q.patches.shape != shape:
+        raise ValueError(f"query patches {q.patches.shape} do not match the gallery's {shape}")
+    if cfg.reranker is Reranker.H2L:
+        mc = cfg.weights.config
+        if (mc.n_patches, mc.dim) != shape:
+            raise ValueError(f"model weights take patches ({mc.n_patches}, {mc.dim}), "
+                             f"the gallery has {shape}")
+        if scorer is None:
+            scorer = H2LScorer(cfg.weights, add_pos=cfg.add_pos)
     k = cfg.k
     shortlist = stage1_order[:k]
-    n = len(stage1_order)
-    stage2 = np.full(n, np.nan)
-    blended = np.empty(n)
-    flagged = 0
-
-    if cfg.reranker is Reranker.NONE:
-        final_order = stage1_order.copy()
-        blended = stage1_scores.copy()
+    s2 = _stage2_scores(q, g, shortlist, cfg, scorer)
+    s1_short = stage1_scores[:k]
+    if cfg.normalize:
+        s1n = _minmax(s1_short)
+        valid = np.isfinite(s2)
+        s2n = np.full(k, np.nan)
+        if valid.any():
+            s2n[valid] = _minmax(s2[valid])
     else:
-        s2, flagged = _stage2_scores(q, g, shortlist, cfg, scorer)
-        stage2[:k] = s2
-        s1_short = stage1_scores[:k]
-        if cfg.normalize:
-            s1n = _minmax(s1_short)
-            valid = np.isfinite(s2)
-            s2n = np.full(k, np.nan)
-            if valid.any():
-                s2n[valid] = _minmax(s2[valid])
-        else:
-            s1n, s2n = s1_short, s2
-        b_short = cfg.alpha * s2n + (1 - cfg.alpha) * s1n
-        # a failed reranker call leaves the candidate at its stage-1 score
-        bad = ~np.isfinite(b_short)
-        b_short[bad] = s1n[bad]
-        resort = np.lexsort((shortlist, -b_short))
-        final_order = np.concatenate([shortlist[resort], stage1_order[k:]])
-        blended = np.concatenate([b_short[resort], stage1_scores[k:]])
-        stage2 = np.concatenate([s2[resort], np.full(n - k, np.nan)])
-        stage1_sorted = np.concatenate([stage1_scores[:k][resort], stage1_scores[k:]])
-        return RankingResult(query_index, q.identity, final_order, stage1_sorted,
-                             stage2, blended, int(g.identities[final_order[0]]), flagged)
-
-    return RankingResult(query_index, q.identity, final_order, stage1_scores.copy(),
-                         stage2, blended, int(g.identities[final_order[0]]), flagged)
+        s1n, s2n = s1_short, s2
+    b_short = cfg.alpha * s2n + (1 - cfg.alpha) * s1n
+    # a candidate without a stage-2 score keeps its stage-1 score
+    bad = ~np.isfinite(b_short)
+    b_short[bad] = s1n[bad]
+    resort = np.lexsort((shortlist, -b_short))
+    final_order = np.concatenate([shortlist[resort], stage1_order[k:]])
+    return RankingResult(
+        query_index, q.identity, final_order,
+        np.concatenate([s1_short[resort], stage1_scores[k:]]),
+        np.concatenate([s2[resort], np.full(n - k, np.nan)]),
+        np.concatenate([b_short[resort], stage1_scores[k:]]),
+        int(g.identities[final_order[0]]), int(np.isnan(s2).sum()))
 
 
 def run_query(q: FaceRecord, g: Gallery, cfg: PipelineConfig,
@@ -169,15 +162,10 @@ def run_query(q: FaceRecord, g: Gallery, cfg: PipelineConfig,
 def run_pipeline(g: Gallery, queries: QuerySet, cfg: PipelineConfig) -> list[RankingResult]:
     cfg.validate(len(g))
     scorer = H2LScorer(cfg.weights, add_pos=cfg.add_pos) if cfg.reranker is Reranker.H2L else None
-    if cfg.workers <= 1:
-        return [run_query(q, g, cfg, scorer, i) for i, q in enumerate(queries.records)]
-    results: list[RankingResult | None] = [None] * len(queries)
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        futures = {pool.submit(run_query, q, g, cfg, scorer, i): i
-                   for i, q in enumerate(queries.records)}
-        for fut, i in futures.items():
-            results[i] = fut.result()
-    return results
+    with ThreadPoolExecutor(max(1, cfg.workers)) as pool:
+        futures = [pool.submit(run_query, q, g, cfg, scorer, i)
+                   for i, q in enumerate(queries.records)]
+        return [fut.result() for fut in futures]
 
 
 # ---------------------------------------------------------------------------

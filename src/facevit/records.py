@@ -31,7 +31,7 @@ _READ_BYTES = 4 << 20  # the chunk of a load's one checking pass over the body
 _OCCLUDER_TAG = 2**32  # stream id outside the identity range
 _BASE_TAG = 2**32 + 2  # stream id of the shared base-face prototypes
 
-# Identity prototypes sit at `identity_scale` around a shared base face, the
+# Identity prototypes sit at this scale around a shared base face, the
 # way real face embeddings cluster tightly around a population mean; this is
 # what lets moderate intra-class noise and partial occlusion actually degrade
 # whole-image cosine ranking.
@@ -172,7 +172,6 @@ class SynthConfig:
     occlusion_type: Occlusion = Occlusion.MASK
     dim: int = DEFAULT_DIM
     grid: int = DEFAULT_GRID
-    identity_scale: float = DEFAULT_IDENTITY_SCALE
 
     def validate(self) -> None:
         if self.n_identities < 2:
@@ -187,8 +186,6 @@ class SynthConfig:
             raise ValueError("occluded_fraction must lie in [0, 1]")
         if self.dim < 1 or self.grid < 2:
             raise ValueError("bad embedding dimensions")
-        if self.identity_scale <= 0:
-            raise ValueError("identity_scale must be positive")
 
 
 def _make_record(identity: int, patches: np.ndarray, occlusion: Occlusion) -> FaceRecord:
@@ -202,7 +199,7 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Gallery, QuerySet]:
     """Deterministic synthetic gallery and query set.
 
     All prototypes share a base-face component; identity k's patch prototypes
-    add an offset of magnitude identity_scale drawn from a stream seeded by
+    add an offset of magnitude DEFAULT_IDENTITY_SCALE drawn from a stream seeded by
     (seed, k). Each record adds Gaussian noise. Occluded queries have the
     designated grid rows replaced verbatim by a shared, identity-independent
     occluder prototype, so those rows carry no identity signal.
@@ -211,7 +208,7 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Gallery, QuerySet]:
     seed = cfg.seed & 0xFFFF_FFFF_FFFF_FFFF
     p2 = cfg.grid * cfg.grid
     sigma = cfg.intra_class_noise
-    beta = cfg.identity_scale
+    beta = DEFAULT_IDENTITY_SCALE
 
     base = np.random.default_rng([seed, _BASE_TAG]).standard_normal((p2, cfg.dim))
     occluder = base + beta * np.random.default_rng([seed, _OCCLUDER_TAG]).standard_normal((p2, cfg.dim))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from facevit.cli import main
+from facevit.model import ModelConfig, Variant, init_random, save_weights
 
 
 def run(*argv):
@@ -94,6 +95,28 @@ def test_malformed_files_exit_one_with_one_error_line(synth, tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert lines == [f"error: {bad_gallery}: not an FVEB file",
                      f"error: {bad_weights}: not an FVWT file"]
+
+
+def test_rerank_mismatched_shapes_exit_one_with_one_error_line(synth, tmp_path, capsys):
+    # the toy set has a 4x4 grid of 16-d patches: weights for a 2x2 grid, and
+    # queries of a 2x2 grid at the same dim, are refused before stage 2 runs
+    weights = tmp_path / "grid2.fvwt"
+    save_weights(init_random(ModelConfig(Variant.H2L, depth=1, heads=2, dim=16,
+                                         n_patches=4, out_dim=16), 0), weights)
+    other = str(tmp_path / "grid2")
+    assert run("gen-synth", "--identities", "4", "--per-id", "3", "--sigma", "0.0",
+               "--seed", "1", "--dim", "16", "--grid", "2", "--out", other) == 0
+    h2l_out, emd_out = tmp_path / "h2l.csv", tmp_path / "emd.csv"
+    capsys.readouterr()
+    assert run("rerank", "--gallery", synth + ".gallery", "--queries", synth + ".queries",
+               "--reranker", "h2l", "--weights", str(weights), "--k", "4",
+               "--out", str(h2l_out), "--workers", "2") == 1
+    assert run("rerank", "--gallery", synth + ".gallery", "--queries", other + ".queries",
+               "--reranker", "emd", "--k", "4", "--out", str(emd_out), "--workers", "2") == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: model weights take patches (4, 16), the gallery has (16, 16)",
+                     "error: query patches (4, 16) do not match the gallery's (16, 16)"]
+    assert not h2l_out.exists() and not emd_out.exists()
 
 
 @pytest.mark.parametrize("section", ["model", "train"])

@@ -68,8 +68,8 @@ def test_distance_stabilizes_over_iterations():
     # distance settles once the plan is nearly feasible
     rng = np.random.default_rng(2)
     fp = uniform_problem(rng, 8)
-    early = sinkhorn(fp, eps=0.05, max_iters=10, check_every=10)
-    late = sinkhorn(fp, eps=0.05, max_iters=2000, check_every=10)
+    early = sinkhorn(fp, eps=0.05, max_iters=10)
+    late = sinkhorn(fp, eps=0.05, max_iters=2000)
     assert late.marginal_error < early.marginal_error
     settled = [sinkhorn(fp, eps=0.05, fixed_iters=n).distance for n in (1990, 2000)]
     assert abs(settled[1] - settled[0]) < 1e-6
@@ -87,7 +87,7 @@ def test_fixed_iters_mode_is_deterministic_and_skips_checks():
 def test_non_convergence_is_flagged_not_fatal():
     rng = np.random.default_rng(4)
     fp = uniform_problem(rng, 8)
-    res = sinkhorn(fp, eps=1e-3, max_iters=5, check_every=5)
+    res = sinkhorn(fp, eps=1e-3, max_iters=5)
     assert not res.converged
     assert np.isfinite(res.distance)
 

@@ -139,12 +139,12 @@ def test_h2l_reranker_runs_and_keeps_shortlist_on_top():
     assert res.flagged == 0
 
 
-def poisoned_toy_data():
+def poisoned_toy_data(value=1e20):
     # patches this large are finite in f32 (and in an FVEB file) but overflow
     # the forward; only the poisoned candidate may fall back to stage 1
     g, q = toy_data()
     records = list(g.records)
-    records[4] = dataclasses.replace(records[4], patches=np.full_like(records[4].patches, 1e20))
+    records[4] = dataclasses.replace(records[4], patches=np.full_like(records[4].patches, value))
     return Gallery(records=records), q
 
 
@@ -174,6 +174,24 @@ def test_h2l_non_finite_score_costs_one_batched_call():
     res = run_query(q.records[0], g, cfg, scorer)
     assert scorer.calls == 1
     assert res.flagged == 1
+
+
+def test_h2l_overflowing_tokens_cost_one_call_and_move_no_other_score():
+    # at 1e38 the token projection itself overflows to inf, so the attention
+    # input is non-finite; the shortlist is still scored in one call
+    clean_g, q = toy_data()
+    g, _ = poisoned_toy_data(1e38)
+    cfg = PipelineConfig(k=len(g), alpha=0.7, reranker=Reranker.H2L, weights=h2l_weights())
+    clean = run_query(q.records[0], clean_g, cfg)
+    scorer = CountingScorer(cfg.weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_query(q.records[0], g, cfg, scorer)
+    assert scorer.calls == 1
+    assert res.flagged == 1
+    expected, got = dict(zip(clean.order, clean.stage2)), dict(zip(res.order, res.stage2))
+    assert np.isnan(got.pop(4)) and not np.isnan(expected.pop(4))
+    assert got == expected
 
 
 def test_h2l_poisoned_candidate_in_a_middle_block_flags_only_it():
