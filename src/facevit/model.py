@@ -5,11 +5,14 @@ P^2+1 = SEP, P^2+2 .. 2P^2+1 = image b. Every incoming token (including CLS
 and SEP) is multiplied by the learnable projection E before positional
 embeddings are added.
 
-One forward serves every caller. `h2l_features` runs on autodiff Tensors: the
-trainer and the gradient checks run it in float64 with gradients, and
-`H2LScorer` runs it in float32 without, on the f32 blocks `load_weights`
-reads, to re-rank a query against blocks of candidates; the query goes in at
-batch size 1, so its tokens are built once per block.
+One forward serves every caller. `h2l_features` runs on autodiff Tensors and
+is its encoder part followed by its head part: the trainer and the gradient
+checks run it in float64 with gradients, and `score_pair_h2l` runs it in
+float64 as the reference. `H2LScorer` runs the same two parts in float32
+without gradients, on the f32 blocks `load_weights` reads, to re-rank a query
+against a shortlist: the encoder part over blocks of candidates, with the
+query at batch size 1 so that its tokens are built once per block, and the
+head part once over the whole shortlist.
 """
 
 from __future__ import annotations
@@ -33,7 +36,11 @@ _LN_EPS = 1e-6
 _BN_EPS = 1e-5
 
 _ALLOWED_HEADS = (1, 2, 4, 6, 8)
-_SCORE_BLOCK_ROWS = 4096  # token rows per H2LScorer forward; each MLP temporary is rows x mlp_width
+# token rows per H2LScorer encoder block; each MLP temporary is rows x mlp_width
+_SCORE_BLOCK_ROWS = 1024
+# score_pair_h2l leaves these in their dtype: numpy promotes each exactly
+# inside its one matmul, so one f64 copy of a head matrix is alive at a time
+_HEAD_MATRICES = ("head.lin1_w", "head.lin2_w")
 
 
 class Variant(Enum):
@@ -176,9 +183,11 @@ def init_random(cfg: ModelConfig, seed: int) -> ModelWeights:
     return ModelWeights(cfg, params, buffers)
 
 
-def cast_weights(w: ModelWeights, dtype, copy: bool = False) -> ModelWeights:
-    """`w` with every block in `dtype`; a block already in it is shared unless `copy`."""
-    return ModelWeights(w.config, {k: v.astype(dtype, copy=copy) for k, v in w.params.items()},
+def cast_weights(w: ModelWeights, dtype, copy: bool = False, keep: tuple[str, ...] = ()) -> ModelWeights:
+    """`w` with every block but those named in `keep` in `dtype`; a block
+    already in it is shared unless `copy`, and a kept block is shared."""
+    return ModelWeights(w.config,
+                        {k: v if k in keep else v.astype(dtype, copy=copy) for k, v in w.params.items()},
                         {k: v.astype(dtype, copy=copy) for k, v in w.buffers.items()})
 
 
@@ -263,6 +272,34 @@ def _batch_norm_t(x: Tensor, gamma: Tensor, beta: Tensor, mean: np.ndarray, var:
     return scaled * gamma + beta
 
 
+def _h2l_encode(w: ModelWeights, patches_a: np.ndarray, patches_b: np.ndarray,
+                p: dict[str, Tensor], add_pos: bool) -> tuple[Tensor, Tensor, list[np.ndarray]]:
+    """The encoder part of the H2L forward: image a's and image b's token
+    outputs as (B, P^2 * D) rows, and the attention maps."""
+    cfg = w.config
+    z, attns = _encode(assemble_tokens_batch(patches_a, patches_b, p, cfg, add_pos), p, cfg)
+    n = cfg.n_patches
+    batch = z.shape[0]
+    z1 = z[:, 1:n + 1, :].reshape(batch, n * cfg.dim)
+    z2 = z[:, n + 2:2 * n + 2, :].reshape(batch, n * cfg.dim)
+    return z1, z2, attns
+
+
+def _h2l_head(w: ModelWeights, z1: Tensor, z2: Tensor, p: dict[str, Tensor],
+              bn_mode: str = "running", update_stats: bool = False) -> tuple[Tensor, Tensor]:
+    """The head part of the H2L forward: per image, linear, batch norm, then
+    the shared layer norm. Every op but batch-mode statistics is row-wise."""
+    bufs = w.buffers if update_stats else None
+    f1 = _batch_norm_t(z1 @ p["head.lin1_w"] + p["head.lin1_b"], p["head.bn1_g"], p["head.bn1_b"],
+                       w.buffers["head.bn1_mean"], w.buffers["head.bn1_var"], bn_mode,
+                       bufs, ("head.bn1_mean", "head.bn1_var"))
+    f2 = _batch_norm_t(z2 @ p["head.lin2_w"] + p["head.lin2_b"], p["head.bn2_g"], p["head.bn2_b"],
+                       w.buffers["head.bn2_mean"], w.buffers["head.bn2_var"], bn_mode,
+                       bufs, ("head.bn2_mean", "head.bn2_var"))
+    return (layer_norm_t(f1, p["head.ln_g"], p["head.ln_b"], _LN_EPS),
+            layer_norm_t(f2, p["head.ln_g"], p["head.ln_b"], _LN_EPS))
+
+
 def h2l_features(
     w: ModelWeights,
     patches_a: np.ndarray,
@@ -275,24 +312,11 @@ def h2l_features(
     """Batched H2L forward: (B, P^2, D) patch blocks -> (f1, f2) feature
     batches. `patches_a` may instead be (1, P^2, D), one query against all B
     candidates, with the same result as that query repeated B times."""
-    cfg = w.config
-    _require_variant(cfg, Variant.H2L)
+    _require_variant(w.config, Variant.H2L)
     if p is None:
         p = params_to_tensors(w)
-    z, attns = _encode(assemble_tokens_batch(patches_a, patches_b, p, cfg, add_pos), p, cfg)
-    n = cfg.n_patches
-    batch = z.shape[0]
-    z1 = z[:, 1:n + 1, :].reshape(batch, n * cfg.dim)
-    z2 = z[:, n + 2:2 * n + 2, :].reshape(batch, n * cfg.dim)
-    bufs = w.buffers if update_stats else None
-    f1 = _batch_norm_t(z1 @ p["head.lin1_w"] + p["head.lin1_b"], p["head.bn1_g"], p["head.bn1_b"],
-                       w.buffers["head.bn1_mean"], w.buffers["head.bn1_var"], bn_mode,
-                       bufs, ("head.bn1_mean", "head.bn1_var"))
-    f2 = _batch_norm_t(z2 @ p["head.lin2_w"] + p["head.lin2_b"], p["head.bn2_g"], p["head.bn2_b"],
-                       w.buffers["head.bn2_mean"], w.buffers["head.bn2_var"], bn_mode,
-                       bufs, ("head.bn2_mean", "head.bn2_var"))
-    f1 = layer_norm_t(f1, p["head.ln_g"], p["head.ln_b"], _LN_EPS)
-    f2 = layer_norm_t(f2, p["head.ln_g"], p["head.ln_b"], _LN_EPS)
+    z1, z2, attns = _h2l_encode(w, patches_a, patches_b, p, add_pos)
+    f1, f2 = _h2l_head(w, z1, z2, p, bn_mode, update_stats)
     return f1, f2, attns
 
 
@@ -306,11 +330,12 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 def score_pair_h2l(a: FaceRecord, b: FaceRecord, w: ModelWeights,
                    add_pos: bool = True) -> tuple[float, np.ndarray, np.ndarray]:
     """Pair similarity in [-1, 1] plus the two cross-attention features, in f64
-    whatever the weights' dtype (f32 weights are upcast per call)."""
+    whatever the weights' dtype. f32 weights are upcast per call, except the
+    two head matrices, which their matmuls promote exactly one at a time."""
     _check_patches(a, w.config)
     _check_patches(b, w.config)
     pa, pb = (np.asarray(r.patches[None], dtype=np.float64) for r in (a, b))
-    f1, f2, _ = h2l_features(cast_weights(w, np.float64), pa, pb, add_pos=add_pos)
+    f1, f2, _ = h2l_features(cast_weights(w, np.float64, keep=_HEAD_MATRICES), pa, pb, add_pos=add_pos)
     v1, v2 = f1.value[0], f2.value[0]
     if not (np.all(np.isfinite(v1)) and np.all(np.isfinite(v2))):
         raise ValueError("non-finite activations in H2L forward")
@@ -348,9 +373,12 @@ def h1_embed_batch(w: ModelWeights, patches: np.ndarray,
 
 class H2LScorer:
     """Forward-only H2L scoring of one query against gallery candidates
-    through `h2l_features`, in blocks of about `_SCORE_BLOCK_ROWS` token rows.
-    The query goes in at batch size 1, so its tokens, their first layer norm
-    and their Q/K/V are computed once per block rather than per candidate.
+    through the two parts of `h2l_features`. The encoder part runs over
+    blocks of about `_SCORE_BLOCK_ROWS` token rows and writes each block's
+    outputs into two (k, P^2 * D) arrays; the head part then runs once over
+    all k, so its GEMMs see the whole shortlist. The query goes in at batch
+    size 1, so its tokens, their first layer norm and their Q/K/V are
+    computed once per block rather than per candidate.
 
     Defaults to float32 compute: training and gradient checks stay float64,
     but this inference hot loop is GEMM-bound, and f32 roughly halves its
@@ -374,17 +402,22 @@ class H2LScorer:
         _check_patches(query, cfg)
         patches_a = query.patches[None].astype(self.dtype)
         k = len(candidates)
-        n_blocks = max(1, -(-k * cfg.seq_len // _SCORE_BLOCK_ROWS))  # sizes differ by at most one
-        feats = []
+        # block sizes differ by at most one, and no block holds one candidate
+        # when k >= 2: a block at the query's batch size takes the encoder's
+        # joined-block path, whose scores differ in the last bits
+        n_blocks = max(1, min(-(-k * cfg.seq_len // _SCORE_BLOCK_ROWS), k // 2))
+        z1 = np.empty((k, cfg.n_patches * cfg.dim), dtype=self.dtype)
+        z2 = np.empty_like(z1)
         # every non-finite score is returned as NaN, so the overflow and
         # invalid-value warnings on the way there carry no information
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(n_blocks):
-                block = candidates[k * i // n_blocks:k * (i + 1) // n_blocks]
-                patches_b = np.stack([rec.patches for _, rec in block], dtype=self.dtype)
-                f1, f2, _ = h2l_features(self.w, patches_a, patches_b, p=self.p, add_pos=self.add_pos)
-                feats.append((f1.value, f2.value))
-            f1, f2 = (np.concatenate(f, dtype=np.float64) for f in zip(*feats))
+                lo, hi = k * i // n_blocks, k * (i + 1) // n_blocks
+                patches_b = np.stack([rec.patches for _, rec in candidates[lo:hi]], dtype=self.dtype)
+                b1, b2, _ = _h2l_encode(self.w, patches_a, patches_b, self.p, self.add_pos)
+                z1[lo:hi], z2[lo:hi] = b1.value, b2.value
+            f1, f2 = _h2l_head(self.w, Tensor(z1), Tensor(z2), self.p)
+            f1, f2 = f1.value.astype(np.float64), f2.value.astype(np.float64)
             scores = np.einsum("bi,bi->b", f1, f2) / (np.linalg.norm(f1, axis=1) * np.linalg.norm(f2, axis=1))
         return np.where(np.isfinite(scores), scores, np.nan)
 

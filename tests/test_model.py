@@ -9,10 +9,10 @@ import pytest
 
 from facevit.model import (_HEADER_FMT, _HEADER_SIZE, _VARIANT_CODES, H2LScorer,
                            ModelConfig, ModelWeights, Variant,
-                           VariantError, WeightFormatError, _encode, assemble_tokens_batch,
-                           buffer_shapes, cosine, h1_embed_batch, h2_logits_batch,
-                           h2l_features, init_random, load_weights, param_shapes,
-                           params_to_tensors, save_weights, score_pair_h2l)
+                           VariantError, WeightFormatError, _encode, _h2l_encode,
+                           assemble_tokens_batch, buffer_shapes, cosine, h1_embed_batch,
+                           h2_logits_batch, h2l_features, init_random, load_weights,
+                           param_shapes, params_to_tensors, save_weights, score_pair_h2l)
 from facevit.records import FaceRecord, SynthConfig, generate_synthetic
 
 
@@ -149,33 +149,89 @@ def test_scorer_f32_mode_close_to_f64():
     np.testing.assert_allclose(s32, s64, atol=1e-4)
 
 
+def scores_by_block(monkeypatch, scorer, query, cands):
+    """The scorer's scores and the candidate count of each encoder block."""
+    sizes = []
+
+    def recording(w, patches_a, patches_b, p, add_pos):
+        sizes.append(len(patches_b))
+        return _h2l_encode(w, patches_a, patches_b, p, add_pos)
+
+    monkeypatch.setattr("facevit.model._h2l_encode", recording)
+    return scorer.score_against(query, cands), sizes
+
+
+def one_block_scores(scorer, query, cands):
+    pa = query.patches[None].astype(scorer.dtype)
+    pb = np.stack([r.patches for _, r in cands]).astype(scorer.dtype)
+    f1, f2, _ = h2l_features(scorer.w, pa, pb, p=scorer.p)
+    f1, f2 = f1.value.astype(np.float64), f2.value.astype(np.float64)
+    return np.einsum("bi,bi->b", f1, f2) / (np.linalg.norm(f1, axis=1) * np.linalg.norm(f2, axis=1))
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_scorer_blocks_equal_one_block_forward(monkeypatch, dtype):
-    # 250 candidates of 34 token rows are 8,500 rows, three blocks of at most
-    # 4,096: 83, 83 and 84 candidates. No block holds one candidate. A
+    # 250 candidates of 34 token rows are 8,500 rows, nine encoder blocks of
+    # at most 1,024: 27 or 28 candidates. No block holds one candidate. A
     # 1-candidate block has the query's batch size, so the encoder joins the
     # two token blocks into one before the first layer, and its scores differ
     # from a batched forward's in the last bits (7e-16 in f64 and 5e-7 in f32
-    # on this data); blocks of two or more give the batched forward's bits.
+    # on this data); blocks of two or more give the batched forward's bits,
+    # and the head runs once over all 250, as the one-block forward's does.
     w = init_random(toy_cfg(depth=2), 9)
     g, q = toy_data(n_identities=25, per_id=10)
     cands = [(i, r) for i, r in enumerate(g.records)]
     scorer = H2LScorer(w, dtype=dtype)
-    sizes = []
+    scores, sizes = scores_by_block(monkeypatch, scorer, q.records[0], cands)
+    assert sizes == [27, 28, 28, 28, 27, 28, 28, 28, 28]
+    np.testing.assert_array_equal(scores, one_block_scores(scorer, q.records[0], cands))
 
-    def recording(w, patches_a, patches_b, **kw):
-        sizes.append(len(patches_b))
-        return h2l_features(w, patches_a, patches_b, **kw)
 
-    monkeypatch.setattr("facevit.model.h2l_features", recording)
-    scores = scorer.score_against(q.records[0], cands)
-    assert sizes == [83, 83, 84]
-    pa = q.records[0].patches[None].astype(dtype)
-    pb = np.stack([r.patches for r in g.records]).astype(dtype)
-    f1, f2, _ = h2l_features(scorer.w, pa, pb, p=scorer.p)
-    f1, f2 = f1.value.astype(np.float64), f2.value.astype(np.float64)
-    ref = np.einsum("bi,bi->b", f1, f2) / (np.linalg.norm(f1, axis=1) * np.linalg.norm(f2, axis=1))
-    np.testing.assert_array_equal(scores, ref)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_scorer_blocks_never_hold_one_candidate(monkeypatch, dtype):
+    # a 16x16 grid is 514 token rows per pair, more than half a block: 8
+    # candidates are 4,112 rows, five blocks by rows, but four of two
+    w = init_random(toy_cfg(depth=1, n_patches=256), 4)
+    g, q = toy_data(n_identities=4, per_id=2, grid=16)
+    cands = [(i, r) for i, r in enumerate(g.records)]
+    scorer = H2LScorer(w, dtype=dtype)
+    scores, sizes = scores_by_block(monkeypatch, scorer, q.records[0], cands)
+    assert sizes == [2, 2, 2, 2]
+    np.testing.assert_array_equal(scores, one_block_scores(scorer, q.records[0], cands))
+
+
+def f32_weights(cfg, seed):
+    """Random f32 weights, drawn in f32: init_random would hold an f64 copy
+    of each head matrix, 128 MB at 512-d and an 8x8 grid."""
+    rng = np.random.default_rng(seed)
+    params = {name: rng.standard_normal(shape, dtype=np.float32) * (1.0 / math.sqrt(shape[0]))
+              for name, shape in param_shapes(cfg).items()}
+    return ModelWeights(cfg, params, {name: np.ones(shape, np.float32)
+                                      for name, shape in buffer_shapes(cfg).items()})
+
+
+def test_scorer_memory_bounded_by_its_blocks():
+    # production shape: the encoder's temporaries are bounded by a block of
+    # about 1,024 token rows and its outputs by two (k, P^2 * D) f32 arrays,
+    # 13 MB each
+    cfg = ModelConfig(Variant.H2L, depth=1, heads=2, dim=512, n_patches=64, out_dim=512)
+    scorer = H2LScorer(f32_weights(cfg, 0))
+    g, q = toy_data(n_identities=50, per_id=2, dim=512, grid=8)
+    cands = [(i, r) for i, r in enumerate(g.records)]
+    scores = []
+    peak = peak_bytes(lambda: scores.append(scorer.score_against(q.records[0], cands)))
+    assert np.all(np.isfinite(scores[0])) and len(scores[0]) == 100
+    assert peak < 64 << 20
+
+
+def test_score_pair_h2l_upcasts_one_head_matrix_at_a_time(tmp_path):
+    # the f32 head matrices are promoted inside their matmuls, one at a time
+    cfg = toy_cfg(depth=1, dim=128, n_patches=64, out_dim=128)
+    save_weights(init_random(cfg, 2), tmp_path / "w.fvwt")
+    w = load_weights(tmp_path / "w.fvwt")
+    g, q = toy_data(dim=128, grid=8)
+    both_f64 = 8 * (w.params["head.lin1_w"].size + w.params["head.lin2_w"].size)
+    assert peak_bytes(lambda: score_pair_h2l(q.records[0], g.records[0], w)) < both_f64
 
 
 def test_score_pair_h2l_is_f64_whatever_the_weights_dtype(tmp_path):
@@ -328,14 +384,21 @@ def body_bytes(cfg):
     return 4 * sum(math.prod(shape) for shape in shapes.values())
 
 
-def peak_bytes_of_rejected_load(path):
+def peak_bytes(fn):
+    """tracemalloc's peak over one call of `fn`, in bytes."""
     tracemalloc.start()
     try:
-        with pytest.raises(WeightFormatError):
-            load_weights(path)
+        fn()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def peak_bytes_of_rejected_load(path):
+    def rejected():
+        with pytest.raises(WeightFormatError):
+            load_weights(path)
+    return peak_bytes(rejected)
 
 
 def test_wrong_size_rejected_before_the_body_is_read(tmp_path):
