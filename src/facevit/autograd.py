@@ -46,7 +46,7 @@ def _phi_f32(x: np.ndarray, times_x: bool) -> np.ndarray:
     for start in range(0, xs.size, _ERF32_CHUNK):
         xc, oc = xs[start:start + _ERF32_CHUNK], outs[start:start + _ERF32_CHUNK]
         t = xc * _INV_SQRT2
-        np.clip(t, -4.0, 4.0, out=t)
+        np.maximum(np.minimum(t, 4.0, out=t), -4.0, out=t)
         u = t * t
         num = _horner(u, _ERF32_P)
         num *= t
@@ -69,6 +69,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, with a stack of matrices times one matrix as one GEMM over all
+    the rows, where numpy calls BLAS once per matrix; the result is the same."""
+    if a.ndim > 2 and b.ndim == 2:
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[1:])
+    return a @ b
 
 
 class Tensor:
@@ -190,7 +198,7 @@ class Tensor:
                     b._accumulate(np.multiply.outer(av, g) if g.ndim else av * g)
                 else:
                     b._accumulate(_unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape))
-        return Tensor._make(self.value @ other.value, (self, other), bwd)
+        return Tensor._make(_matmul(self.value, other.value), (self, other), bwd)
 
     # -- shape ops ----------------------------------------------------------
 

@@ -381,10 +381,11 @@ class H2LScorer:
     computed once per block rather than per candidate.
 
     Defaults to float32 compute: training and gradient checks stay float64,
-    but this inference hot loop is GEMM-bound, and f32 roughly halves its
-    wall-clock and takes the float32 erf in GELU, at a per-score error around
-    1e-7, far below the score gaps that matter for ranking. Weights already
-    in `dtype` are shared, not copied; others are cast once, here."""
+    but this inference hot loop is GEMM-bound, one 2-D GEMM per dense layer
+    per block; f32 roughly halves its wall-clock and takes the float32 erf in
+    GELU, at a per-score error around 1e-7, far below the score gaps that
+    matter for ranking. Weights already in `dtype` are shared, not copied;
+    others are cast once, here."""
 
     def __init__(self, w: ModelWeights, add_pos: bool = True, dtype=np.float32):
         _require_variant(w.config, Variant.H2L)

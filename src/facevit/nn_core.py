@@ -2,8 +2,10 @@
 
 Each primitive (suffix _t) takes and returns autodiff Tensors and computes in
 the dtype of its inputs: float64 for training and gradient checks, float32 for
-the re-ranking forward. Attention and the encoder layer also take their input
-as a list of token blocks, so a block shared by a batch is projected once.
+the re-ranking forward. A dense layer runs as one GEMM over all of a token
+block's rows (see `Tensor.__matmul__`). Attention and the encoder layer also
+take their input as a list of token blocks, so a block shared by a batch is
+projected once.
 """
 
 from __future__ import annotations

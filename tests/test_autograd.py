@@ -90,6 +90,22 @@ def test_matmul_batched_and_vector_cases():
     np.testing.assert_allclose(v.grad, nv, rtol=1e-6, atol=1e-6)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("make_a", [
+    lambda rng: rng.standard_normal((5, 13, 8)),
+    lambda rng: rng.standard_normal((1, 13, 8)),
+    lambda rng: rng.standard_normal((3, 5, 8, 13)).swapaxes(-1, -2),
+    lambda rng: rng.standard_normal((0, 13, 8)),
+], ids=["stack", "batch-1", "swapaxes-view", "empty"])
+def test_matmul_stack_times_matrix_equals_numpy_bit_for_bit(make_a, dtype):
+    # a stack of matrices times one matrix runs as one 2-D GEMM
+    rng = np.random.default_rng(3)
+    a, w = make_a(rng).astype(dtype), rng.standard_normal((8, 6)).astype(dtype)
+    y = (Tensor(a) @ Tensor(w)).value
+    assert y.dtype == dtype and y.shape == a.shape[:-1] + (6,)
+    np.testing.assert_array_equal(y, np.matmul(a, w))
+
+
 def test_broadcasting_accumulates_grad():
     a = Tensor(np.ones((3, 1)), requires_grad=True)
     b = Tensor(np.ones((1, 4)), requires_grad=True)
