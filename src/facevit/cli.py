@@ -22,6 +22,10 @@ from .records import (Occlusion, SynthConfig, generate_synthetic, load_gallery,
 from .trainer import TrainConfig, train
 
 
+_WORKERS_HELP = ("query threads (default: the CPU count); rerank --reranker emd always runs "
+                 "on one, because its Sinkhorn loop holds the interpreter lock")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="facevit",
                                      description="Two-stage face identification toolkit")
@@ -44,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--gallery", required=True)
     r.add_argument("--queries", required=True)
     r.add_argument("--out", required=True)
-    r.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    r.add_argument("--workers", type=int, default=os.cpu_count() or 1, help=_WORKERS_HELP)
 
     rr = sub.add_parser("rerank", help="two-stage ranking with a patch-level reranker")
     rr.add_argument("--gallery", required=True)
@@ -57,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rr.add_argument("--no-pos", action="store_true")
     rr.add_argument("--emd-eps", type=float, default=0.01)
     rr.add_argument("--emd-iters", type=int, default=500)
-    rr.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    rr.add_argument("--workers", type=int, default=os.cpu_count() or 1, help=_WORKERS_HELP)
     rr.add_argument("--out", required=True)
 
     e = sub.add_parser("eval", help="retrieval metrics from a results CSV")

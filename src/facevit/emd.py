@@ -59,6 +59,19 @@ class SinkhornResult:
     marginal_error: float
 
 
+def check_sinkhorn_settings(eps: float, tol: float, max_iters: int,
+                            fixed_iters: int | None) -> None:
+    """Raises `ValueError` for settings `sinkhorn` cannot run with."""
+    if not (1e-3 <= eps <= 1.0):
+        raise ValueError("eps must lie in [1e-3, 1]")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    if fixed_iters is not None and fixed_iters < 1:
+        raise ValueError("fixed_iters must be at least 1")
+
+
 def sinkhorn(
     fp: FlowProblem,
     eps: float = 0.01,
@@ -70,10 +83,7 @@ def sinkhorn(
     marginal L1 violations drop below tol, or for exactly `fixed_iters`
     iterations when that is given (benchmark mode, no convergence checks).
     """
-    if not (1e-3 <= eps <= 1.0):
-        raise ValueError("eps must lie in [1e-3, 1]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_sinkhorn_settings(eps, tol, max_iters, fixed_iters)
     cost, u, v = fp.cost, fp.u, fp.v
     if np.any(u == 0) or np.any(v == 0):
         raise ValueError("sinkhorn requires strictly positive marginals")

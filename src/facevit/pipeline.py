@@ -4,6 +4,7 @@ top-k shortlist with alpha-blended scores, plus the retrieval metrics."""
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -11,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .emd import WeightScheme, emd_similarity
+from .emd import WeightScheme, check_sinkhorn_settings, emd_similarity
 from .model import H2LScorer, ModelWeights
 from .records import FaceRecord, Gallery, QuerySet
 
@@ -40,6 +41,8 @@ class PipelineConfig:
     emd: EmdSettings = field(default_factory=EmdSettings)
     weights: ModelWeights | None = None
     add_pos: bool = True
+    # query threads; EMD runs on one, since its Sinkhorn loop of small numpy
+    # calls holds the interpreter lock and a second thread only adds handoffs
     workers: int = 1
 
     def validate(self, gallery_size: int) -> None:
@@ -49,6 +52,9 @@ class PipelineConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if self.reranker is Reranker.H2L and self.weights is None:
             raise ValueError("H2L reranker requires model weights")
+        if self.reranker is Reranker.EMD:
+            e = self.emd
+            check_sinkhorn_settings(e.eps, e.tol, e.max_iters, e.fixed_iters)
 
 
 @dataclass
@@ -159,13 +165,40 @@ def run_query(q: FaceRecord, g: Gallery, cfg: PipelineConfig,
     return stage2_rerank(q, g, order, scores, cfg, scorer, query_index)
 
 
+def _load_libc():
+    """The C library, when it is glibc (it has `mallopt` and `malloc_trim`), else None."""
+    try:
+        libc = ctypes.CDLL(None)
+        libc.mallopt, libc.malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return None
+    return libc
+
+
+_LIBC = _load_libc()
+_M_ARENA_MAX = -8  # glibc's mallopt parameter for the most malloc arenas
+
+
 def run_pipeline(g: Gallery, queries: QuerySet, cfg: PipelineConfig) -> list[RankingResult]:
     cfg.validate(len(g))
     scorer = H2LScorer(cfg.weights, add_pos=cfg.add_pos) if cfg.reranker is Reranker.H2L else None
-    with ThreadPoolExecutor(max(1, cfg.workers)) as pool:
+    threads = 1 if cfg.reranker is Reranker.EMD else max(1, cfg.workers)
+    # H2L workers allocate from glibc's main arena (for the rest of the
+    # process; threads started before keep their own), and its free pages go
+    # back to the OS once the pool closes. A worker's own arena keeps its
+    # heap's top resident up to the trim threshold, which grows with the
+    # largest block temporary and which `malloc_trim` cannot release: none to
+    # two 64 MB heaps of it outlived a job, as the workers happened to interleave.
+    one_arena = scorer is not None and _LIBC is not None
+    if one_arena:
+        _LIBC.mallopt(_M_ARENA_MAX, 1)
+    with ThreadPoolExecutor(threads) as pool:
         futures = [pool.submit(run_query, q, g, cfg, scorer, i)
                    for i, q in enumerate(queries.records)]
-        return [fut.result() for fut in futures]
+        results = [fut.result() for fut in futures]
+    if one_arena:
+        _LIBC.malloc_trim(0)
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,19 @@ def test_rerank_mismatched_shapes_exit_one_with_one_error_line(synth, tmp_path, 
     assert not h2l_out.exists() and not emd_out.exists()
 
 
+def test_rerank_bad_emd_settings_exit_one_with_one_error_line(synth, tmp_path, capsys):
+    # Sinkhorn cannot run at either setting; both are refused before stage 2,
+    # not flagged per candidate or ranked by an unscaled kernel
+    outs = [tmp_path / "eps.csv", tmp_path / "iters.csv"]
+    capsys.readouterr()
+    for flag, out in zip((["--emd-eps", "5"], ["--emd-iters", "0"]), outs):
+        assert run("rerank", "--gallery", synth + ".gallery", "--queries", synth + ".queries",
+                   "--reranker", "emd", "--k", "4", *flag, "--out", str(out)) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: eps must lie in [1e-3, 1]", "error: max_iters must be at least 1"]
+    assert not any(out.exists() for out in outs)
+
+
 @pytest.mark.parametrize("section", ["model", "train"])
 def test_train_toy_unknown_config_key_exits_one(synth, tmp_path, capsys, section):
     conf = {"model": {"variant": "h2l", "depth": 1, "heads": 2, "dim": 16,

@@ -101,6 +101,10 @@ def test_parameter_validation():
         sinkhorn(fp, eps=2.0)
     with pytest.raises(ValueError):
         sinkhorn(fp, tol=0.0)
+    with pytest.raises(ValueError):
+        sinkhorn(fp, max_iters=0)
+    with pytest.raises(ValueError):
+        sinkhorn(fp, fixed_iters=0)
     zero = FlowProblem(fp.cost, np.array([0.0, 0.5, 0.25, 0.25]),
                        np.full(4, 0.25))
     with pytest.raises(ValueError):

@@ -2,11 +2,13 @@
 
 import dataclasses
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from facevit import pipeline
 from facevit.model import H2LScorer, ModelConfig, Variant, init_random
 from facevit.pipeline import (EmdSettings, PipelineConfig, QueryMetrics,
                               RankingResult, Reranker, evaluate, query_metrics,
@@ -242,6 +244,36 @@ def test_config_validation():
         PipelineConfig(alpha=1.5).validate(len(g))
     with pytest.raises(ValueError):
         PipelineConfig(reranker=Reranker.H2L).validate(len(g))
+    for bad in (EmdSettings(eps=5.0), EmdSettings(eps=1e-4), EmdSettings(tol=0.0),
+                EmdSettings(max_iters=0), EmdSettings(max_iters=-3),
+                EmdSettings(fixed_iters=0)):
+        with pytest.raises(ValueError):
+            PipelineConfig(k=3, reranker=Reranker.EMD, emd=bad).validate(len(g))
+        # EMD settings only bind the EMD reranker
+        PipelineConfig(k=3, reranker=Reranker.NONE, emd=bad).validate(len(g))
+    PipelineConfig(k=3, reranker=Reranker.EMD, emd=EmdSettings(fixed_iters=1)).validate(len(g))
+
+
+def pool_sizes(monkeypatch, g, q, cfg):
+    sizes = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", RecordingPool)
+    run_pipeline(g, q, cfg)
+    return sizes
+
+
+def test_pool_has_one_thread_for_emd_and_workers_threads_otherwise(monkeypatch):
+    g, q = toy_data()
+    emd = PipelineConfig(k=3, reranker=Reranker.EMD, workers=4)
+    h2l = PipelineConfig(k=3, reranker=Reranker.H2L, weights=h2l_weights(), workers=3)
+    assert pool_sizes(monkeypatch, g, q, emd) == [1]
+    assert pool_sizes(monkeypatch, g, q, h2l) == [3]
+    assert pool_sizes(monkeypatch, g, q, PipelineConfig(k=1, workers=0)) == [1]
 
 
 def test_workers_produce_identical_results():
@@ -252,6 +284,41 @@ def test_workers_produce_identical_results():
     r4 = run_pipeline(g, q, cfg4)
     for a, b in zip(r1, r4):
         np.testing.assert_array_equal(a.order, b.order)
+        np.testing.assert_array_equal(a.blended, b.blended)
+
+
+def test_h2l_jobs_use_one_malloc_arena_and_return_it(monkeypatch):
+    g, q = toy_data()
+    calls = []
+
+    class FakeLibc:
+        def mallopt(self, param, value):
+            calls.append(("mallopt", param, value))
+
+        def malloc_trim(self, pad):
+            calls.append(("malloc_trim", pad))
+
+    monkeypatch.setattr(pipeline, "_LIBC", FakeLibc())
+    run_pipeline(g, q, PipelineConfig(k=3, reranker=Reranker.H2L, weights=h2l_weights(),
+                                      workers=2))
+    assert calls == [("mallopt", -8, 1), ("malloc_trim", 0)]  # -8 is M_ARENA_MAX in malloc.h
+    run_pipeline(g, q, PipelineConfig(k=3, reranker=Reranker.EMD))
+    run_pipeline(g, q, PipelineConfig(k=1))
+    assert len(calls) == 2
+    # without glibc the job runs all the same
+    monkeypatch.setattr(pipeline, "_LIBC", None)
+    run_pipeline(g, q, PipelineConfig(k=3, reranker=Reranker.H2L, weights=h2l_weights()))
+
+
+def test_h2l_workers_produce_identical_results():
+    g, q = toy_data(n_identities=4, qpi=2)
+    w = h2l_weights()
+    r1 = run_pipeline(g, q, PipelineConfig(k=6, reranker=Reranker.H2L, weights=w, workers=1))
+    r3 = run_pipeline(g, q, PipelineConfig(k=6, reranker=Reranker.H2L, weights=w, workers=3))
+    assert len(r1) == len(r3) == len(q)
+    for a, b in zip(r1, r3):
+        np.testing.assert_array_equal(a.order, b.order)
+        np.testing.assert_array_equal(a.stage2, b.stage2)
         np.testing.assert_array_equal(a.blended, b.blended)
 
 
