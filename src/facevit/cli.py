@@ -22,8 +22,9 @@ from .records import (Occlusion, SynthConfig, generate_synthetic, load_gallery,
 from .trainer import TrainConfig, train
 
 
-_WORKERS_HELP = ("query threads (default: the CPU count); rerank --reranker emd always runs "
-                 "on one, because its Sinkhorn loop holds the interpreter lock")
+_WORKERS_HELP = ("query threads (default: the CPU count); rerank --reranker emd runs its "
+                 "queries in this many forked processes at one BLAS thread each instead, "
+                 "because its Sinkhorn loop holds the interpreter lock")
 
 
 def _build_parser() -> argparse.ArgumentParser:

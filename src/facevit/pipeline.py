@@ -6,7 +6,9 @@ from __future__ import annotations
 import csv
 import ctypes
 import json
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -41,8 +43,9 @@ class PipelineConfig:
     emd: EmdSettings = field(default_factory=EmdSettings)
     weights: ModelWeights | None = None
     add_pos: bool = True
-    # query threads; EMD runs on one, since its Sinkhorn loop of small numpy
-    # calls holds the interpreter lock and a second thread only adds handoffs
+    # query threads; EMD runs its queries in this many forked processes at one
+    # BLAS thread each instead, since its Sinkhorn loop of small numpy calls
+    # holds the interpreter lock and a second thread only adds handoffs
     workers: int = 1
 
     def validate(self, gallery_size: int) -> None:
@@ -177,12 +180,63 @@ def _load_libc():
 
 _LIBC = _load_libc()
 _M_ARENA_MAX = -8  # glibc's mallopt parameter for the most malloc arenas
+_BLAS_SETTERS = ("openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
+                 "openblas_set_num_threads64_")
+
+
+def _numpy_openblas():
+    """(library, setter name) of the OpenBLAS numpy loaded, found among the
+    libraries this process maps, else None. Paths under numpy's directory come
+    first (the prefix also matches numpy.libs), since scipy may map its own."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = dict.fromkeys(line.split(maxsplit=5)[-1].strip()
+                                  for line in fh if "openblas" in line)
+    except OSError:
+        return None
+    numpy_dir = os.path.dirname(np.__file__)
+    for path in sorted(paths, key=lambda p: not p.startswith(numpy_dir)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_SETTERS:
+            if hasattr(lib, name):
+                return lib, name
+    return None
+
+
+_BLAS = _numpy_openblas()
+_BLAS_SET_THREADS = getattr(*_BLAS) if _BLAS is not None else None
+_EMD_JOB = None  # (gallery, queries, cfg) in an EMD worker process
+
+
+def _init_emd_worker(g: Gallery, queries: QuerySet, cfg: PipelineConfig) -> None:
+    """Keeps the job, which fork copied rather than pickled, and pins BLAS to
+    one thread: each worker's OpenBLAS helper threads would take the CPUs of
+    the other workers."""
+    global _EMD_JOB
+    _EMD_JOB = (g, queries, cfg)
+    if _BLAS_SET_THREADS is not None:
+        _BLAS_SET_THREADS(1)
+
+
+def _emd_query(i: int) -> RankingResult:
+    g, queries, cfg = _EMD_JOB
+    return run_query(queries.records[i], g, cfg, None, i)
 
 
 def run_pipeline(g: Gallery, queries: QuerySet, cfg: PipelineConfig) -> list[RankingResult]:
     cfg.validate(len(g))
+    if cfg.reranker is Reranker.EMD:
+        # Sinkhorn's small numpy calls hold the interpreter lock, so EMD
+        # queries run in processes, which share the gallery's pages through fork
+        with ProcessPoolExecutor(max(1, min(cfg.workers, len(queries))),
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_init_emd_worker,
+                                 initargs=(g, queries, cfg)) as pool:
+            return list(pool.map(_emd_query, range(len(queries))))
     scorer = H2LScorer(cfg.weights, add_pos=cfg.add_pos) if cfg.reranker is Reranker.H2L else None
-    threads = 1 if cfg.reranker is Reranker.EMD else max(1, cfg.workers)
     # H2L workers allocate from glibc's main arena (for the rest of the
     # process; threads started before keep their own), and its free pages go
     # back to the OS once the pool closes. A worker's own arena keeps its
@@ -192,7 +246,7 @@ def run_pipeline(g: Gallery, queries: QuerySet, cfg: PipelineConfig) -> list[Ran
     one_arena = scorer is not None and _LIBC is not None
     if one_arena:
         _LIBC.mallopt(_M_ARENA_MAX, 1)
-    with ThreadPoolExecutor(threads) as pool:
+    with ThreadPoolExecutor(max(1, cfg.workers)) as pool:
         futures = [pool.submit(run_query, q, g, cfg, scorer, i)
                    for i, q in enumerate(queries.records)]
         results = [fut.result() for fut in futures]

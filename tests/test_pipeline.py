@@ -1,8 +1,9 @@
 """Two-stage ranking, blending, metrics, and result serialization."""
 
 import dataclasses
+import multiprocessing
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -254,37 +255,99 @@ def test_config_validation():
     PipelineConfig(k=3, reranker=Reranker.EMD, emd=EmdSettings(fixed_iters=1)).validate(len(g))
 
 
-def pool_sizes(monkeypatch, g, q, cfg):
-    sizes = []
+def pools(monkeypatch, g, q, cfg):
+    """(kind, size, start method) of each pool run_pipeline opens; a process
+    pool's size is the number of processes it started."""
+    opened = []
 
-    class RecordingPool(ThreadPoolExecutor):
+    class RecordingThreads(ThreadPoolExecutor):
         def __init__(self, max_workers=None, *args, **kwargs):
-            sizes.append(max_workers)
+            opened.append(("threads", max_workers, None))
             super().__init__(max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", RecordingPool)
+    class RecordingProcesses(ProcessPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            opened.append(("processes", len(self._processes),
+                           self._mp_context.get_start_method()))
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", RecordingThreads)
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingProcesses)
     run_pipeline(g, q, cfg)
-    return sizes
+    return opened
 
 
-def test_pool_has_one_thread_for_emd_and_workers_threads_otherwise(monkeypatch):
+def test_emd_runs_in_one_fork_process_per_query_up_to_workers(monkeypatch):
     g, q = toy_data()
+    two = QuerySet(records=q.records[:2])
     emd = PipelineConfig(k=3, reranker=Reranker.EMD, workers=4)
     h2l = PipelineConfig(k=3, reranker=Reranker.H2L, weights=h2l_weights(), workers=3)
-    assert pool_sizes(monkeypatch, g, q, emd) == [1]
-    assert pool_sizes(monkeypatch, g, q, h2l) == [3]
-    assert pool_sizes(monkeypatch, g, q, PipelineConfig(k=1, workers=0)) == [1]
+    assert pools(monkeypatch, g, two, emd) == [("processes", 2, "fork")]
+    assert multiprocessing.active_children() == []
+    assert pools(monkeypatch, g, q, h2l) == [("threads", 3, None)]
+    assert pools(monkeypatch, g, q, PipelineConfig(k=1, workers=0)) == [("threads", 1, None)]
+
+
+def test_no_emd_worker_outlives_a_failed_query():
+    g, _ = toy_data()
+    # queries of a 2x2 grid against the gallery's 4x4: the worker's shape check raises
+    _, q = generate_synthetic(SynthConfig(3, 3, 0.3, 1, dim=16, grid=2))
+    with pytest.raises(ValueError, match="do not match"):
+        run_pipeline(g, q, PipelineConfig(k=3, reranker=Reranker.EMD, workers=2))
+    assert multiprocessing.active_children() == []
 
 
 def test_workers_produce_identical_results():
+    # results come back from worker processes, so every field must survive
+    # the trip bit for bit; more queries than workers, so a worker runs several
     g, q = toy_data(n_identities=4, qpi=2)
-    cfg1 = PipelineConfig(k=4, alpha=0.7, reranker=Reranker.EMD, workers=1)
-    cfg4 = PipelineConfig(k=4, alpha=0.7, reranker=Reranker.EMD, workers=4)
-    r1 = run_pipeline(g, q, cfg1)
-    r4 = run_pipeline(g, q, cfg4)
+    assert len(q) > 4
+    r1 = run_pipeline(g, q, PipelineConfig(k=4, alpha=0.7, reranker=Reranker.EMD, workers=1))
+    r4 = run_pipeline(g, q, PipelineConfig(k=4, alpha=0.7, reranker=Reranker.EMD, workers=4))
+    assert [r.query_index for r in r4] == list(range(len(q)))
+    assert len(r1) == len(r4)
     for a, b in zip(r1, r4):
+        assert (a.query_index, a.query_identity) == (b.query_index, b.query_identity)
         np.testing.assert_array_equal(a.order, b.order)
+        np.testing.assert_array_equal(a.stage1, b.stage1)
+        np.testing.assert_array_equal(a.stage2, b.stage2)  # NaN equals NaN here
         np.testing.assert_array_equal(a.blended, b.blended)
+        assert (a.flagged, a.predicted_identity) == (b.flagged, b.predicted_identity)
+
+
+def test_emd_worker_pins_blas_to_one_thread(monkeypatch):
+    g, q = toy_data()
+    cfg = PipelineConfig(k=3, reranker=Reranker.EMD)
+    calls = []
+    monkeypatch.setattr(pipeline, "_BLAS_SET_THREADS", calls.append)
+    monkeypatch.setattr(pipeline, "_EMD_JOB", None)
+    pipeline._init_emd_worker(g, q, cfg)
+    assert calls == [1]
+    assert pipeline._emd_query(1).order.tolist() == run_query(q.records[1], g, cfg).order.tolist()
+
+
+def test_emd_job_leaves_the_parents_blas_threads_alone():
+    if pipeline._BLAS is None:
+        pytest.skip("no OpenBLAS thread setter in this process")
+    lib, name = pipeline._BLAS
+    get_threads = getattr(lib, name.replace("_set_", "_get_"))
+    before = get_threads()
+    g, q = toy_data()
+    pipeline._BLAS_SET_THREADS(2)  # so that a leaked pin to one thread would show
+    try:
+        run_pipeline(g, q, PipelineConfig(k=3, reranker=Reranker.EMD, workers=2))
+        assert get_threads() == 2
+    finally:
+        pipeline._BLAS_SET_THREADS(before)
+
+
+def test_emd_job_runs_without_a_blas_setter(monkeypatch):
+    g, q = toy_data()
+    cfg = PipelineConfig(k=3, reranker=Reranker.EMD, workers=2)
+    expect = run_pipeline(g, q, cfg)
+    monkeypatch.setattr(pipeline, "_BLAS_SET_THREADS", None)
+    got = run_pipeline(g, q, cfg)
+    assert [r.order.tolist() for r in got] == [r.order.tolist() for r in expect]
 
 
 def test_h2l_jobs_use_one_malloc_arena_and_return_it(monkeypatch):
