@@ -44,37 +44,25 @@ class BenchRow:
     seconds: float
 
 
-@dataclass
-class KindSummary:
-    kind: str
-    n_patches: int
-    d: int
-    k: int
-    times: np.ndarray
-
-    @property
-    def median(self) -> float:
-        return float(np.median(self.times))
-
-    @property
-    def iqr(self) -> float:
-        q1, q3 = np.percentile(self.times, [25, 75])
-        return float(q3 - q1)
-
-    @property
-    def unstable(self) -> bool:
-        return self.iqr > UNSTABLE_IQR_FRACTION * self.median
+def summarize(times: list[float]) -> dict:
+    """Median and interquartile range of per-query times; `unstable` when the
+    range exceeds UNSTABLE_IQR_FRACTION of the median."""
+    median = float(np.median(times))
+    q1, q3 = np.percentile(times, [25, 75])
+    iqr = float(q3 - q1)
+    return {"median_s": median, "iqr_s": iqr, "unstable": iqr > UNSTABLE_IQR_FRACTION * median}
 
 
-def env_metadata(workers: int = 1) -> dict:
-    """Run environment; the h2l/emd ratio moves with the BLAS thread count."""
+def env_metadata() -> dict:
+    """Run environment; the h2l/emd ratio moves with the BLAS thread count.
+    Both suites time one query at a time."""
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        "workers": workers,
+        "workers": 1,
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
     }
@@ -126,37 +114,39 @@ def _default_weights(n_patches: int, d: int, depth: int = 1, heads: int = 2,
     return init_random(cfg, seed)
 
 
+def _time_both(n_patches: int, d: int, k: int, reps: int, seed: int, n_identities: int,
+               weights: ModelWeights, emd_iters: int, rows: list[BenchRow]) -> dict[str, dict]:
+    """Times both rerankers on one synthetic data set of `n_identities`, with
+    EMD at a fixed `emd_iters` budget; appends a row per measured rep and
+    returns each kind's `summarize` dict."""
+    per_id = -(-k // n_identities)  # ceil so the gallery covers the shortlist
+    qpi = -(-(reps + WARMUP_QUERIES) // n_identities)
+    gallery, queries = make_bench_data(n_patches, d, n_identities, per_id, qpi, seed)
+    queries = QuerySet(records=queries.records[:reps + WARMUP_QUERIES])
+    summary = {}
+    for kind in ("h2l", "emd"):
+        fixed = emd_iters if kind == "emd" else None
+        times = time_stage2(kind, gallery, queries, k, weights=weights, fixed_iters=fixed)
+        for rep, s in enumerate(times):
+            rows.append(BenchRow(kind, n_patches, d, k, len(times), rep, s))
+        summary[kind] = summarize(times)
+    return summary
+
+
 def run_wallclock(n_patches: int = 64, d: int = 512, k: int = 100, reps: int = 100,
                   seed: int = 0, depth: int = 1, heads: int = 2,
                   weights: ModelWeights | None = None) -> dict:
     """Head-to-head median stage-2 time at one shape; EMD is tolerance-free
     with a 500-iteration fixed budget to mirror its configured maximum."""
-    n_identities = max(5, k // 4)
-    per_id = -(-k // n_identities)  # ceil so the gallery covers the shortlist
-    qpi = -(-(reps + WARMUP_QUERIES) // n_identities)
-    gallery, queries = make_bench_data(n_patches, d, n_identities, per_id, qpi, seed)
-    queries = QuerySet(records=queries.records[:reps + WARMUP_QUERIES])
     if weights is None:
         weights = _default_weights(n_patches, d, depth, heads, seed)
-
     rows: list[BenchRow] = []
-    summaries: dict[str, KindSummary] = {}
-    for kind in ("h2l", "emd"):
-        fixed = 500 if kind == "emd" else None
-        times = time_stage2(kind, gallery, queries, k, weights=weights, fixed_iters=fixed)
-        for rep, s in enumerate(times):
-            rows.append(BenchRow(kind, n_patches, d, k, len(times), rep, s))
-        summaries[kind] = KindSummary(kind, n_patches, d, k, np.array(times))
-
-    ratio = summaries["h2l"].median / summaries["emd"].median
+    summary = _time_both(n_patches, d, k, reps, seed, max(5, k // 4), weights, 500, rows)
     return {
         "suite": "wallclock",
         "rows": rows,
-        "summary": {
-            kind: {"median_s": s.median, "iqr_s": s.iqr, "unstable": s.unstable}
-            for kind, s in summaries.items()
-        },
-        "ratio_h2l_over_emd": ratio,
+        "summary": summary,
+        "ratio_h2l_over_emd": summary["h2l"]["median_s"] / summary["emd"]["median_s"],
         "meta": env_metadata(),
     }
 
@@ -180,17 +170,10 @@ def run_scaling(ns=(16, 64, 256), d: int = 64, k: int = 8, reps: int = 5,
     for n in ns:
         if n not in SCALING_ITERS:
             raise ValueError(f"no fixed Sinkhorn budget for n={n}")
-        gallery, queries = make_bench_data(n, d, 4, -(-k // 4), -(-(reps + WARMUP_QUERIES) // 4), seed)
-        queries = QuerySet(records=queries.records[:reps + WARMUP_QUERIES])
         weights = _default_weights(n, d, depth, heads, seed)
-        for kind in ("h2l", "emd"):
-            fixed = SCALING_ITERS[n] if kind == "emd" else None
-            times = time_stage2(kind, gallery, queries, k, weights=weights, fixed_iters=fixed)
-            for rep, s in enumerate(times):
-                rows.append(BenchRow(kind, n, d, k, len(times), rep, s))
-            summ = KindSummary(kind, n, d, k, np.array(times))
-            medians[kind].append(summ.median)
-            unstable[kind] = unstable[kind] or summ.unstable
+        for kind, summ in _time_both(n, d, k, reps, seed, 4, weights, SCALING_ITERS[n], rows).items():
+            medians[kind].append(summ["median_s"])
+            unstable[kind] = unstable[kind] or summ["unstable"]
     slopes = {kind: fit_slope(ns, meds) for kind, meds in medians.items()}
     return {
         "suite": "scaling",

@@ -38,6 +38,8 @@ class FlowProblem:
         n, m = self.cost.shape
         if n != m or self.u.shape != (n,) or self.v.shape != (n,):
             raise ValueError("cost must be square with matching marginals")
+        if not all(np.isfinite(x).all() for x in (self.cost, self.u, self.v)):
+            raise ValueError("cost and marginals must be finite")  # NaN passes the checks below
         if self.cost.min() < -1e-9 or self.cost.max() > 2 + 1e-9:
             raise ValueError("cost entries must lie in [0, 2]")
         if np.any(self.u < 0) or np.any(self.v < 0):
@@ -130,8 +132,8 @@ def sinkhorn(
 
 def _unit_rows(x: np.ndarray, what: str) -> np.ndarray:
     norms = np.linalg.norm(x, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise ValueError(f"zero-norm {what}")
+    if not np.all((norms > 0) & (norms < np.inf)):  # a finite row near 1e200 overflows it
+        raise ValueError(f"zero-norm or overflowing {what}")
     return x / norms
 
 
@@ -164,19 +166,3 @@ def build_flow_problem(a: FaceRecord, b: FaceRecord,
     u, v = marginal_weights(pa, pb, scheme)
     return FlowProblem(patch_cost_matrix(pa, pb), u, v)
 
-
-def emd_similarity(
-    a: FaceRecord,
-    b: FaceRecord,
-    scheme: WeightScheme = WeightScheme.CROSS_CORRELATION,
-    eps: float = 0.01,
-    max_iters: int = 500,
-    tol: float = 1e-6,
-    fixed_iters: int | None = None,
-) -> float:
-    """1 - Sinkhorn distance between the two patch sets (higher = more similar)."""
-    if a.patches.shape != b.patches.shape:
-        raise ValueError("patch grids differ")
-    fp = build_flow_problem(a, b, scheme)
-    res = sinkhorn(fp, eps=eps, max_iters=max_iters, tol=tol, fixed_iters=fixed_iters)
-    return 1.0 - res.distance

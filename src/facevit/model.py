@@ -320,6 +320,11 @@ def h2l_features(
     return f1, f2, attns
 
 
+def row_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine of each row of `a` with the same row of `b`."""
+    return np.einsum("bi,bi->b", a, b) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
+
+
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
@@ -419,7 +424,7 @@ class H2LScorer:
                 z1[lo:hi], z2[lo:hi] = b1.value, b2.value
             f1, f2 = _h2l_head(self.w, Tensor(z1), Tensor(z2), self.p)
             f1, f2 = f1.value.astype(np.float64), f2.value.astype(np.float64)
-            scores = np.einsum("bi,bi->b", f1, f2) / (np.linalg.norm(f1, axis=1) * np.linalg.norm(f2, axis=1))
+            scores = row_cosine(f1, f2)
         return np.where(np.isfinite(scores), scores, np.nan)
 
 
@@ -449,7 +454,7 @@ def save_weights(w: ModelWeights, path) -> None:
             fh.write(blocks[name].astype("<f4").tobytes())
 
 
-def load_weights(path, expect: ModelConfig | None = None) -> ModelWeights:
+def load_weights(path) -> ModelWeights:
     """Checks the file's size against the body its header describes before it
     allocates anything for the body, then reads the body in one call. Every
     block is an f32 view of that one body array; no two blocks overlap."""
@@ -463,8 +468,6 @@ def load_weights(path, expect: ModelConfig | None = None) -> ModelWeights:
         if vcode not in _CODE_VARIANTS:
             raise WeightFormatError(f"{path}: unknown variant code {vcode}")
         cfg = ModelConfig(_CODE_VARIANTS[vcode], *dims)
-        if expect is not None and cfg != expect:
-            raise WeightFormatError(f"{path}: weight header {cfg} does not match expected {expect}")
         layout = _fvwt_body(cfg)
         sizes = [math.prod(shape) for shape in layout.values()]
         count, size = sum(sizes), os.fstat(fh.fileno()).st_size

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .emd import WeightScheme, check_sinkhorn_settings, emd_similarity
+from .emd import WeightScheme, build_flow_problem, check_sinkhorn_settings, sinkhorn
 from .model import H2LScorer, ModelWeights
 from .records import FaceRecord, Gallery, QuerySet
 
@@ -96,17 +96,17 @@ def _stage2_scores(q: FaceRecord, g: Gallery, shortlist: np.ndarray,
                    cfg: PipelineConfig, scorer: H2LScorer | None) -> np.ndarray:
     """Stage-2 scores of the shortlist, NaN where the reranker gave none. H2L
     scores the whole shortlist in one call; EMD solves one problem per
-    candidate and gives none for a candidate it cannot solve (a zero-norm
-    patch row is legal FVEB data but has no direction for the cost)."""
+    candidate and gives none for a candidate it cannot solve (a patch row of
+    zero or overflowing norm is legal FVEB data but gives the cost no direction)."""
     if cfg.reranker is Reranker.H2L:
         return scorer.score_against(q, [(int(j), g[j]) for j in shortlist])
+    e = cfg.emd
     scores = np.full(len(shortlist), np.nan)
     for pos, j in enumerate(shortlist):
-        try:
-            scores[pos] = emd_similarity(
-                q, g[j], scheme=cfg.emd.scheme, eps=cfg.emd.eps,
-                max_iters=cfg.emd.max_iters, tol=cfg.emd.tol,
-                fixed_iters=cfg.emd.fixed_iters)
+        try:  # 1 - Sinkhorn distance, so higher is more similar
+            scores[pos] = 1.0 - sinkhorn(build_flow_problem(q, g[j], e.scheme), eps=e.eps,
+                                         max_iters=e.max_iters, tol=e.tol,
+                                         fixed_iters=e.fixed_iters).distance
         except (ValueError, ArithmeticError):
             pass
     return scores

@@ -95,14 +95,6 @@ class FaceRecord:
             raise ValueError("non-finite embedding values")
 
     @property
-    def dim(self) -> int:
-        return self.image_vec.shape[0]
-
-    @property
-    def n_patches(self) -> int:
-        return self.patches.shape[0]
-
-    @property
     def grid(self) -> int:
         return math.isqrt(self.patches.shape[0])
 

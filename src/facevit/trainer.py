@@ -9,14 +9,14 @@ finite-difference check, otherwise training refuses to start.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arcface import arcface_loss_t
 from .autograd import Tensor, concat, log_softmax
 from .model import (ModelConfig, ModelWeights, Variant, cast_weights, h1_embed_batch,
-                    h2_logits_batch, h2l_features, init_random, params_to_tensors)
+                    h2_logits_batch, h2l_features, init_random, params_to_tensors, row_cosine)
 from .nn_core import grad_check
 from .records import Gallery
 
@@ -104,7 +104,15 @@ class TrainState:
     arcface_w: np.ndarray | None
     class_of: dict[int, int]
     threshold: float = 0.0
-    history: list[dict] = field(default_factory=list)
+
+
+def _pair_features(w: ModelWeights, pa: np.ndarray, pb: np.ndarray, p: dict[str, Tensor] | None,
+                   bn_mode: str, update_stats: bool) -> tuple[Tensor, Tensor]:
+    """Per-image features of both pair sides: the H2L head's cross-attention
+    features, or each side's own H1 embedding (which has no batch norm)."""
+    if w.config.variant is Variant.H2L:
+        return h2l_features(w, pa, pb, p=p, bn_mode=bn_mode, update_stats=update_stats)[:2]
+    return h1_embed_batch(w, pa, p=p), h1_embed_batch(w, pb, p=p)
 
 
 def pair_scores(state: TrainState, g: Gallery, pairs: list[Pair],
@@ -112,18 +120,11 @@ def pair_scores(state: TrainState, g: Gallery, pairs: list[Pair],
     """Verification score per pair (higher = more likely same identity)."""
     w = state.weights
     pa, pb = blocks if blocks is not None else _pair_blocks(g, pairs)
-    if w.config.variant is Variant.H2L:
-        f1, f2, _ = h2l_features(w, pa, pb, bn_mode="running")
-        v1, v2 = f1.value, f2.value
-        dots = np.einsum("bi,bi->b", v1, v2)
-        return dots / (np.linalg.norm(v1, axis=1) * np.linalg.norm(v2, axis=1))
     if w.config.variant is Variant.H2:
         logits = h2_logits_batch(w, pa, pb).value
         return logits[:, 1] - logits[:, 0]
-    e1 = h1_embed_batch(w, pa).value
-    e2 = h1_embed_batch(w, pb).value
-    dots = np.einsum("bi,bi->b", e1, e2)
-    return dots / (np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1))
+    f1, f2 = _pair_features(w, pa, pb, None, "running", False)
+    return row_cosine(f1.value, f2.value)
 
 
 def best_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -148,18 +149,14 @@ def _batch_loss(state: TrainState, g: Gallery, pairs: list[Pair], tc: TrainConfi
                 update_stats: bool) -> Tensor:
     w = state.weights
     pa, pb = _pair_blocks(g, pairs)
-    if w.config.variant is Variant.H2L:
-        f1, f2, _ = h2l_features(w, pa, pb, p=p, bn_mode="batch", update_stats=update_stats)
-        feats = concat([f1, f2], axis=0)
-        return arcface_loss_t(feats, _pair_classes(state, g, pairs), w_arc, tc.margin, tc.scale)
     if w.config.variant is Variant.H2:
         logits = h2_logits_batch(w, pa, pb, p=p)
         onehot = np.zeros((len(pairs), 2))
         onehot[np.arange(len(pairs)), [int(same) for _, _, same in pairs]] = 1.0
         return -(log_softmax(logits, axis=1) * onehot).sum() * (1.0 / len(pairs))
-    # H1: per-image angular-margin classification over both pair sides
-    emb = concat([h1_embed_batch(w, pa, p=p), h1_embed_batch(w, pb, p=p)], axis=0)
-    return arcface_loss_t(emb, _pair_classes(state, g, pairs), w_arc, tc.margin, tc.scale)
+    # H1 and H2L: per-image angular-margin classification over both pair sides
+    feats = concat(_pair_features(w, pa, pb, p, "batch", update_stats), axis=0)
+    return arcface_loss_t(feats, _pair_classes(state, g, pairs), w_arc, tc.margin, tc.scale)
 
 
 def verify_gradients(state: TrainState, g: Gallery, tc: TrainConfig,
@@ -295,5 +292,4 @@ def train(cfg: ModelConfig, weights: ModelWeights | None, data: Gallery,
         last_good = (copy.deepcopy(weights.params), copy.deepcopy(weights.buffers),
                      None if arc_w is None else arc_w.copy())
 
-    state.history = history
     return state, history

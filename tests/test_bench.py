@@ -1,13 +1,13 @@
 """Benchmark harness mechanics (timing plumbing, slope fits, CSV output)."""
 
 import csv
+import json
 
-import numpy as np
 import pytest
 
-from facevit.bench import (BenchRow, KindSummary, SCALING_ITERS, env_metadata,
-                           fit_slope, make_bench_data, rows_to_csv,
-                           summary_to_json, time_stage2, _default_weights)
+from facevit.bench import (BenchRow, SCALING_ITERS, env_metadata, fit_slope,
+                           make_bench_data, rows_to_csv, run_scaling, run_wallclock,
+                           summarize, summary_to_json, time_stage2, _default_weights)
 
 
 def test_fit_slope_recovers_power_law():
@@ -16,12 +16,12 @@ def test_fit_slope_recovers_power_law():
     assert abs(fit_slope(ns, times) - 1.7) < 1e-9
 
 
-def test_kind_summary_flags_unstable_runs():
-    steady = KindSummary("h2l", 16, 8, 4, np.array([1.0, 1.01, 1.02, 0.99, 1.0]))
-    assert not steady.unstable
-    jittery = KindSummary("h2l", 16, 8, 4, np.array([1.0, 3.0, 0.2, 2.5, 0.1]))
-    assert jittery.unstable
-    assert steady.median == 1.0
+def test_summarize_flags_unstable_runs():
+    steady = summarize([1.0, 1.01, 1.02, 0.99, 1.0])
+    assert list(steady) == ["median_s", "iqr_s", "unstable"]
+    assert steady["median_s"] == 1.0 and steady["unstable"] is False
+    assert abs(steady["iqr_s"] - 0.01) < 1e-12
+    assert summarize([1.0, 3.0, 0.2, 2.5, 0.1])["unstable"] is True
 
 
 def test_scaling_iteration_budgets_grow_linearly():
@@ -33,7 +33,7 @@ def test_scaling_iteration_budgets_grow_linearly():
 def test_make_bench_data_shapes():
     g, q = make_bench_data(16, 8, 4, 2, 3, seed=0)
     assert len(g) == 8 and len(q) == 12
-    assert g.records[0].n_patches == 16 and g.records[0].dim == 8
+    assert g.patches.shape[1:] == (16, 8)
     with pytest.raises(ValueError):
         make_bench_data(15, 8, 4, 2, 3, seed=0)
 
@@ -83,7 +83,52 @@ def test_summary_json_drops_raw_rows(tmp_path):
 def test_env_metadata_fields(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    meta = env_metadata(workers=3)
-    assert meta["workers"] == 3
+    meta = env_metadata()
+    assert meta["workers"] == 1
     assert {"python", "numpy", "platform", "cpu_count"} <= set(meta)
     assert meta["OPENBLAS_NUM_THREADS"] == "1" and meta["OMP_NUM_THREADS"] is None
+
+
+def check_rows_and_files(report, tmp_path, n_rows):
+    rows = report["rows"]
+    assert len(rows) == n_rows and all(isinstance(r, BenchRow) for r in rows)
+    assert all(isinstance(r.seconds, float) and r.seconds > 0 for r in rows)
+    rows_to_csv(rows, tmp_path / "rows.csv", report["meta"])
+    body = [l for l in (tmp_path / "rows.csv").read_text().splitlines() if not l.startswith("#")]
+    assert len(body) == n_rows + 1
+    summary_to_json(report, tmp_path / "summary.json")
+    saved = json.loads((tmp_path / "summary.json").read_text())
+    assert set(saved) == set(report) - {"rows"}
+    return saved
+
+
+def test_wallclock_report_shape(tmp_path):
+    report = run_wallclock(n_patches=16, d=8, k=8, reps=5)
+    assert list(report) == ["suite", "rows", "summary", "ratio_h2l_over_emd", "meta"]
+    assert report["suite"] == "wallclock" and report["meta"]["workers"] == 1
+    # kinds x reps rows, each kind's reps in order
+    assert [(r.kind, r.rep) for r in report["rows"]] == [
+        (kind, rep) for kind in ("h2l", "emd") for rep in range(5)]
+    assert {(r.n_patches, r.d, r.k, r.queries) for r in report["rows"]} == {(16, 8, 8, 5)}
+    for kind, s in report["summary"].items():
+        assert s == summarize([r.seconds for r in report["rows"] if r.kind == kind])
+        assert isinstance(s["unstable"], bool)
+    summary = report["summary"]
+    assert report["ratio_h2l_over_emd"] == summary["h2l"]["median_s"] / summary["emd"]["median_s"]
+    saved = check_rows_and_files(report, tmp_path, 2 * 5)
+    assert saved["summary"] == summary
+
+
+def test_scaling_report_shape(tmp_path):
+    report = run_scaling(ns=(16, 64), d=8, k=8, reps=5)
+    assert list(report) == ["suite", "rows", "medians", "slopes", "slope_gap", "unstable", "meta"]
+    assert report["suite"] == "scaling" and report["meta"]["workers"] == 1
+    assert [(r.n_patches, r.kind, r.rep) for r in report["rows"]] == [
+        (n, kind, rep) for n in (16, 64) for kind in ("h2l", "emd") for rep in range(5)]
+    for kind in ("h2l", "emd"):
+        assert list(report["medians"][kind]) == [16, 64]
+        assert isinstance(report["slopes"][kind], float)
+        assert isinstance(report["unstable"][kind], bool)
+    assert report["slope_gap"] == report["slopes"]["emd"] - report["slopes"]["h2l"]
+    saved = check_rows_and_files(report, tmp_path, 2 * 5 * 2)
+    assert saved["medians"]["emd"].keys() == {"16", "64"}

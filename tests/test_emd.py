@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from facevit.emd import (FlowProblem, SinkhornError, WeightScheme,
-                         build_flow_problem, emd_similarity, marginal_weights,
+                         build_flow_problem, marginal_weights,
                          patch_cost_matrix, sinkhorn)
 from facevit.records import SynthConfig, generate_synthetic
 
@@ -39,6 +39,12 @@ def test_flow_problem_validation():
         FlowProblem(np.zeros((3, 3)), np.array([0.5, 0.5, 0.5]), w)
     with pytest.raises(ValueError):
         FlowProblem(np.zeros((3, 3)), np.array([-0.2, 0.6, 0.6]), w)
+    # NaN compares false against every range and sum bound
+    nan = np.full(3, np.nan)
+    for cost, u, v in [(np.full((3, 3), np.nan), w, w), (np.zeros((3, 3)), nan, w),
+                       (np.zeros((3, 3)), w, nan)]:
+        with pytest.raises(ValueError, match="finite"):
+            FlowProblem(cost, u, v)
 
 
 # -- solver ------------------------------------------------------------------
@@ -160,16 +166,20 @@ def test_cross_correlation_weights_positive_and_normalized():
     assert abs(u.sum() - 1) < 1e-12 and abs(v.sum() - 1) < 1e-12
 
 
+def emd_score(a, b):
+    return 1.0 - sinkhorn(build_flow_problem(a, b)).distance
+
+
 def test_same_identity_scores_higher_than_different():
     g, q = toy_records()
-    same = emd_similarity(q.records[0], g.records[0])
-    diff = emd_similarity(q.records[0], g.records[4])
+    same = emd_score(q.records[0], g.records[0])
+    diff = emd_score(q.records[0], g.records[4])
     assert same > diff
 
 
 def test_self_similarity_near_one():
     g, _ = toy_records()
-    assert emd_similarity(g.records[0], g.records[0]) > 0.99
+    assert emd_score(g.records[0], g.records[0]) > 0.99
 
 
 def test_mismatched_grids_rejected():
@@ -177,7 +187,7 @@ def test_mismatched_grids_rejected():
     cfg = SynthConfig(2, 2, 0.2, 0, dim=16, grid=3)
     g9, _ = generate_synthetic(cfg)
     with pytest.raises(ValueError):
-        emd_similarity(g16.records[0], g9.records[0])
+        build_flow_problem(g16.records[0], g9.records[0])
 
 
 def test_build_flow_problem():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from facevit import pipeline
+from facevit.emd import build_flow_problem, sinkhorn
 from facevit.model import H2LScorer, ModelConfig, Variant, init_random
 from facevit.pipeline import (EmdSettings, PipelineConfig, QueryMetrics,
                               RankingResult, Reranker, evaluate, query_metrics,
@@ -224,6 +225,49 @@ def test_h2l_non_finite_score_raises_no_warning():
         warnings.simplefilter("error")
         res = run_query(q.records[0], g, cfg)
     assert res.flagged == 1
+
+
+def emd_scores_by_candidate(res):
+    return {int(j): s for j, s in zip(res.order, res.stage2) if not np.isnan(s)}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_emd_zero_norm_patch_row_flags_only_its_candidate(workers):
+    # a zero patch row is legal FVEB data, but it has no direction for the cost
+    g, q = toy_data(qpi=2)
+    records = list(g.records)
+    patches = records[4].patches.copy()
+    patches[3] = 0.0
+    records[4] = dataclasses.replace(records[4], patches=patches)
+    g = Gallery(records=records)
+    results = run_pipeline(g, q, PipelineConfig(k=len(g), reranker=Reranker.EMD, workers=workers))
+    assert len(results) == len(q) > workers
+    for qr, res in zip(q.records, results):
+        assert res.flagged == 1
+        assert np.isnan(res.stage2[np.flatnonzero(res.order == 4)]).all()
+        got = emd_scores_by_candidate(res)
+        assert got == {j: 1.0 - sinkhorn(build_flow_problem(qr, g[j])).distance
+                       for j in range(len(g)) if j != 4}
+
+
+def test_emd_overflowing_patch_norms_flag_their_candidate_or_query():
+    # f64 patches near 1e200 are finite, but their row norms overflow to inf
+    g, q = toy_data()
+    cfg = PipelineConfig(k=len(g), reranker=Reranker.EMD)
+    clean = run_query(q.records[0], g, cfg)
+    records = list(g.records)
+    records[4] = dataclasses.replace(records[4], patches=records[4].patches.astype(np.float64) * 1e200)
+    with np.errstate(all="ignore"):
+        res = run_query(q.records[0], Gallery(records=records), cfg)
+        huge_query = dataclasses.replace(q.records[0], patches=q.records[0].patches.astype(np.float64) * 1e200)
+        every = run_query(huge_query, Gallery(records=records), cfg)
+    assert res.flagged == 1
+    assert np.isnan(res.stage2[np.flatnonzero(res.order == 4)]).all()
+    expected = emd_scores_by_candidate(clean)
+    del expected[4]
+    assert emd_scores_by_candidate(res) == expected
+    # against a query at the same scale every marginal is NaN as well
+    assert every.flagged == len(g)
 
 
 def test_no_normalize_mode_blends_raw_scores():
