@@ -31,7 +31,7 @@ def main():
     for i, seed in enumerate(seeds):
         row = "  ".join(f"{result.accuracy[name][i]:5.2f}" for name in result.accuracy)
         print(f"{seed:4d}   {row}")
-    means = "  ".join(f"{result.mean(name):5.2f}" for name in result.accuracy)
+    means = "  ".join(f"{np.mean(result.accuracy[name]):5.2f}" for name in result.accuracy)
     print(f"mean   {means}")
 
     print("\noccluded-benchmark P@1 with the trained two-image reranker")
@@ -39,10 +39,10 @@ def main():
     for seed in seeds:
         r = run_occlusion_seed(seed, Reranker.H2L,
                                weights=result.h2l_states[seed].weights, toy=True)
-        st1s.append(r.p1_stage1)
-        st2s.append(r.p1_stage2)
-        print(f"seed {seed}: stage1={r.p1_stage1:.3f} stage2={r.p1_stage2:.3f}"
-              f" gain={r.gain:+.3f}")
+        st1, st2 = r.stage1.p_at_1, r.stage2.p_at_1
+        st1s.append(st1)
+        st2s.append(st2)
+        print(f"seed {seed}: stage1={st1:.3f} stage2={st2:.3f} gain={st2 - st1:+.3f}")
     print(f"mean : stage1={np.mean(st1s):.3f} stage2={np.mean(st2s):.3f}")
 
     if args.save_weights_dir is not None:

@@ -20,10 +20,10 @@ def main():
     st1s, st2s = [], []
     for seed in range(args.seeds):
         r = run_occlusion_seed(seed, Reranker.EMD, toy=args.toy)
-        st1s.append(r.p1_stage1)
-        st2s.append(r.p1_stage2)
-        print(f"seed {seed:2d}: stage1={r.p1_stage1:.3f} stage2={r.p1_stage2:.3f}"
-              f" gain={r.gain:+.3f}")
+        st1, st2 = r.stage1.p_at_1, r.stage2.p_at_1
+        st1s.append(st1)
+        st2s.append(st2)
+        print(f"seed {seed:2d}: stage1={st1:.3f} stage2={st2:.3f} gain={st2 - st1:+.3f}")
     gain = np.mean(st2s) - np.mean(st1s)
     print(f"mean   : stage1={np.mean(st1s):.3f} stage2={np.mean(st2s):.3f}"
           f" gain={gain:+.3f}")

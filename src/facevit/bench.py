@@ -69,28 +69,26 @@ def env_metadata() -> dict:
 
 
 def make_bench_data(n_patches: int, d: int, n_identities: int, records_per_identity: int,
-                    queries_per_identity: int, seed: int, sigma: float = 0.3):
+                    queries_per_identity: int, seed: int):
     grid = math.isqrt(n_patches)
     if grid * grid != n_patches:
         raise ValueError("n_patches must be a perfect square")
     cfg = SynthConfig(n_identities=n_identities, records_per_identity=records_per_identity,
-                      intra_class_noise=sigma, seed=seed, dim=d, grid=grid,
+                      intra_class_noise=0.3, seed=seed, dim=d, grid=grid,
                       queries_per_identity=queries_per_identity,
                       occluded_fraction=0.0, occlusion_type=Occlusion.NONE)
     return generate_synthetic(cfg)
 
 
-def time_stage2(kind: str, gallery, queries, k: int, alpha: float = 0.7,
-                weights: ModelWeights | None = None, fixed_iters: int | None = None,
-                warmups: int = WARMUP_QUERIES) -> list[float]:
-    """Per-query stage-2 wall-clock times; the first `warmups` queries run but
-    are not recorded. Stage-1 ranking is outside the timed region."""
+def time_stage2(kind: str, gallery, queries, k: int, weights: ModelWeights | None = None,
+                fixed_iters: int | None = None) -> list[float]:
+    """Per-query stage-2 wall-clock times; the first WARMUP_QUERIES queries run
+    but are not recorded. Stage-1 ranking is outside the timed region."""
     if kind == "h2l":
-        cfg = PipelineConfig(k=k, alpha=alpha, reranker=Reranker.H2L, weights=weights)
+        cfg = PipelineConfig(k=k, reranker=Reranker.H2L, weights=weights)
         scorer = H2LScorer(weights)
     elif kind == "emd":
-        cfg = PipelineConfig(k=k, alpha=alpha, reranker=Reranker.EMD,
-                             emd=EmdSettings(fixed_iters=fixed_iters))
+        cfg = PipelineConfig(k=k, reranker=Reranker.EMD, emd=EmdSettings(fixed_iters=fixed_iters))
         scorer = None
     else:
         raise ValueError(f"unknown reranker kind {kind!r}")
@@ -100,17 +98,15 @@ def time_stage2(kind: str, gallery, queries, k: int, alpha: float = 0.7,
         t0 = time.perf_counter()
         stage2_rerank(q, gallery, order, scores, cfg, scorer, query_index=i)
         dt = time.perf_counter() - t0
-        if i >= warmups:
+        if i >= WARMUP_QUERIES:
             times.append(dt)
     if len(times) < MIN_REPS:
         raise ValueError(f"need at least {MIN_REPS} measured reps, got {len(times)}")
     return times
 
 
-def _default_weights(n_patches: int, d: int, depth: int = 1, heads: int = 2,
-                     seed: int = 0) -> ModelWeights:
-    cfg = ModelConfig(Variant.H2L, depth=depth, heads=heads, dim=d,
-                      n_patches=n_patches, out_dim=d)
+def _default_weights(n_patches: int, d: int, seed: int = 0) -> ModelWeights:
+    cfg = ModelConfig(Variant.H2L, depth=1, heads=2, dim=d, n_patches=n_patches, out_dim=d)
     return init_random(cfg, seed)
 
 
@@ -119,7 +115,8 @@ def _time_both(n_patches: int, d: int, k: int, reps: int, seed: int, n_identitie
     """Times both rerankers on one synthetic data set of `n_identities`, with
     EMD at a fixed `emd_iters` budget; appends a row per measured rep and
     returns each kind's `summarize` dict."""
-    per_id = -(-k // n_identities)  # ceil so the gallery covers the shortlist
+    # ceil so the gallery covers the shortlist; the generator needs 2 per identity
+    per_id = max(2, -(-k // n_identities))
     qpi = -(-(reps + WARMUP_QUERIES) // n_identities)
     gallery, queries = make_bench_data(n_patches, d, n_identities, per_id, qpi, seed)
     queries = QuerySet(records=queries.records[:reps + WARMUP_QUERIES])
@@ -134,12 +131,10 @@ def _time_both(n_patches: int, d: int, k: int, reps: int, seed: int, n_identitie
 
 
 def run_wallclock(n_patches: int = 64, d: int = 512, k: int = 100, reps: int = 100,
-                  seed: int = 0, depth: int = 1, heads: int = 2,
-                  weights: ModelWeights | None = None) -> dict:
+                  seed: int = 0) -> dict:
     """Head-to-head median stage-2 time at one shape; EMD is tolerance-free
     with a 500-iteration fixed budget to mirror its configured maximum."""
-    if weights is None:
-        weights = _default_weights(n_patches, d, depth, heads, seed)
+    weights = _default_weights(n_patches, d, seed)
     rows: list[BenchRow] = []
     summary = _time_both(n_patches, d, k, reps, seed, max(5, k // 4), weights, 500, rows)
     return {
@@ -157,8 +152,7 @@ def fit_slope(ns, medians) -> float:
                             np.log(np.asarray(medians, dtype=float)), 1)[0])
 
 
-def run_scaling(ns=(16, 64, 256), d: int = 64, k: int = 8, reps: int = 5,
-                seed: int = 0, depth: int = 1, heads: int = 2) -> dict:
+def run_scaling(ns=(16, 64, 256), d: int = 64, k: int = 8, reps: int = 5, seed: int = 0) -> dict:
     """Median stage-2 time per patch count and fitted log-log slopes.
 
     Runs single-worker; the Sinkhorn budget grows linearly with n per
@@ -170,7 +164,7 @@ def run_scaling(ns=(16, 64, 256), d: int = 64, k: int = 8, reps: int = 5,
     for n in ns:
         if n not in SCALING_ITERS:
             raise ValueError(f"no fixed Sinkhorn budget for n={n}")
-        weights = _default_weights(n, d, depth, heads, seed)
+        weights = _default_weights(n, d, seed)
         for kind, summ in _time_both(n, d, k, reps, seed, 4, weights, SCALING_ITERS[n], rows).items():
             medians[kind].append(summ["median_s"])
             unstable[kind] = unstable[kind] or summ["unstable"]

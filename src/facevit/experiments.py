@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import ModelConfig, Variant
 from .pipeline import (EmdSettings, EvalReport, PipelineConfig, Reranker,
                        evaluate, run_pipeline)
@@ -60,28 +58,14 @@ class OcclusionSeedResult:
     stage1: EvalReport
     stage2: EvalReport
 
-    @property
-    def p1_stage1(self) -> float:
-        return self.stage1.p_at_1
-
-    @property
-    def p1_stage2(self) -> float:
-        return self.stage2.p_at_1
-
-    @property
-    def gain(self) -> float:
-        return self.stage2.p_at_1 - self.stage1.p_at_1
-
 
 def run_occlusion_seed(seed: int, reranker: Reranker, weights=None,
-                       toy: bool = False, k: int = 100,
-                       alpha: float = 0.7) -> OcclusionSeedResult:
+                       toy: bool = False) -> OcclusionSeedResult:
     """Stage-1 and stage-2 retrieval reports on one seeded benchmark
-    instance; k is capped at the gallery size."""
+    instance; the shortlist is 100, capped at the gallery size."""
     g, q = make_benchmark(seed, toy)
-    k = min(k, len(g))
     st1 = evaluate(run_pipeline(g, q, PipelineConfig(reranker=Reranker.NONE)), g)
-    cfg = PipelineConfig(reranker=reranker, k=k, alpha=alpha, weights=weights,
+    cfg = PipelineConfig(reranker=reranker, k=min(100, len(g)), weights=weights,
                          emd=EmdSettings(eps=BENCH_EMD_EPS))
     st2 = evaluate(run_pipeline(g, q, cfg), g)
     return OcclusionSeedResult(seed, st1, st2)
@@ -106,9 +90,6 @@ def train_toy_variant(variant: Variant, seed: int,
 class AblationResult:
     accuracy: dict[str, list[float]]       # variant name -> per-seed holdout accuracy
     h2l_states: dict[int, TrainState]      # seed -> trained two-image state
-
-    def mean(self, name: str) -> float:
-        return float(np.mean(self.accuracy[name]))
 
 
 def run_ablation(seeds=(0, 1, 2, 3, 4), epochs: int = 30) -> AblationResult:

@@ -77,6 +77,9 @@ class ModelConfig:
             self.head_dim = self.dim // self.heads
         if self.mlp_width is None:
             self.mlp_width = 4 * self.dim
+        for name in ("dim", "n_patches", "head_dim", "mlp_width", "out_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def inner_dim(self) -> int:
@@ -151,8 +154,8 @@ def buffer_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return {"head.bn1_mean": o, "head.bn1_var": o, "head.bn2_mean": o, "head.bn2_var": o}
 
 
-def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    return np.clip(rng.normal(0.0, std, size=shape), -2 * std, 2 * std)
+def _trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    return np.clip(rng.normal(0.0, 0.02, size=shape), -0.04, 0.04)
 
 
 def init_random(cfg: ModelConfig, seed: int) -> ModelWeights:
@@ -191,8 +194,8 @@ def cast_weights(w: ModelWeights, dtype, copy: bool = False, keep: tuple[str, ..
                         {k: v.astype(dtype, copy=copy) for k, v in w.buffers.items()})
 
 
-def params_to_tensors(w: ModelWeights, requires_grad: bool = False) -> dict[str, Tensor]:
-    return {k: Tensor(v, requires_grad=requires_grad) for k, v in w.params.items()}
+def params_to_tensors(w: ModelWeights) -> dict[str, Tensor]:
+    return {k: Tensor(v) for k, v in w.params.items()}
 
 
 def layer_tensors(p: dict[str, Tensor], i: int, heads: int) -> LayerParams:
@@ -251,10 +254,10 @@ def _encode(z, p: dict[str, Tensor], cfg: ModelConfig) -> tuple[Tensor, list[np.
 
 def _batch_norm_t(x: Tensor, gamma: Tensor, beta: Tensor, mean: np.ndarray, var: np.ndarray,
                   mode: str, buffers: dict[str, np.ndarray] | None = None,
-                  names: tuple[str, str] | None = None, momentum: float = 0.1) -> Tensor:
+                  names: tuple[str, str] | None = None) -> Tensor:
     """Per-feature affine normalization. mode='running' uses frozen statistics
     (well-defined at batch size 1); mode='batch' uses batch statistics and,
-    when buffers/names are given, updates the running ones with momentum."""
+    when buffers/names are given, updates the running ones with momentum 0.1."""
     if mode == "running":
         centered = x - Tensor(mean)
         scaled = centered / Tensor(np.sqrt(var + _BN_EPS))
@@ -265,8 +268,8 @@ def _batch_norm_t(x: Tensor, gamma: Tensor, beta: Tensor, mean: np.ndarray, var:
         scaled = centered / (batch_var + _BN_EPS).sqrt()
         if buffers is not None and names is not None:
             m_name, v_name = names
-            buffers[m_name] = (1 - momentum) * buffers[m_name] + momentum * mu.value[0]
-            buffers[v_name] = (1 - momentum) * buffers[v_name] + momentum * batch_var.value[0]
+            buffers[m_name] = 0.9 * buffers[m_name] + 0.1 * mu.value[0]
+            buffers[v_name] = 0.9 * buffers[v_name] + 0.1 * batch_var.value[0]
     else:
         raise ValueError(f"unknown batch-norm mode {mode!r}")
     return scaled * gamma + beta
@@ -348,27 +351,25 @@ def score_pair_h2l(a: FaceRecord, b: FaceRecord, w: ModelWeights,
 
 
 def h2_logits_batch(w: ModelWeights, patches_a: np.ndarray, patches_b: np.ndarray,
-                    p: dict[str, Tensor] | None = None, add_pos: bool = True) -> Tensor:
+                    p: dict[str, Tensor] | None = None) -> Tensor:
     cfg = w.config
     _require_variant(cfg, Variant.H2)
     if p is None:
         p = params_to_tensors(w)
-    z, _ = _encode(assemble_tokens_batch(patches_a, patches_b, p, cfg, add_pos), p, cfg)
+    z, _ = _encode(assemble_tokens_batch(patches_a, patches_b, p, cfg), p, cfg)
     cls_out = layer_norm_t(z[:, 0, :], p["head.ln_g"], p["head.ln_b"], _LN_EPS)
     return cls_out @ p["head.fc_w"] + p["head.fc_b"]
 
 
 def h1_embed_batch(w: ModelWeights, patches: np.ndarray,
-                   p: dict[str, Tensor] | None = None, add_pos: bool = True) -> Tensor:
+                   p: dict[str, Tensor] | None = None) -> Tensor:
     cfg = w.config
     _require_variant(cfg, Variant.H1)
     if p is None:
         p = params_to_tensors(w)
     e = p["token_proj"]
     z0 = concat([(p["cls_token"] @ e).reshape(1, 1, cfg.dim), Tensor(patches) @ e], axis=1)
-    if add_pos:
-        z0 = z0 + p["pos_embed"]
-    z, _ = _encode(z0, p, cfg)
+    z, _ = _encode(z0 + p["pos_embed"], p, cfg)
     return layer_norm_t(z[:, 0, :], p["head.ln_g"], p["head.ln_b"], _LN_EPS)
 
 
@@ -467,7 +468,10 @@ def load_weights(path) -> ModelWeights:
             raise WeightFormatError(f"{path}: unsupported FVWT version {version}")
         if vcode not in _CODE_VARIANTS:
             raise WeightFormatError(f"{path}: unknown variant code {vcode}")
-        cfg = ModelConfig(_CODE_VARIANTS[vcode], *dims)
+        try:
+            cfg = ModelConfig(_CODE_VARIANTS[vcode], *dims)
+        except ValueError as exc:
+            raise WeightFormatError(f"{path}: {exc}") from exc
         layout = _fvwt_body(cfg)
         sizes = [math.prod(shape) for shape in layout.values()]
         count, size = sum(sizes), os.fstat(fh.fileno()).st_size

@@ -144,13 +144,12 @@ def grad_check(
     theta: dict[str, np.ndarray],
     h: float = 1e-5,
     n_directions: int = 24,
-    coord_limit: int = 1024,
     seed: int = 0,
 ) -> float:
     """Max relative error between f's reverse-mode gradient and central differences.
 
-    Small parameter sets are probed coordinate by coordinate; larger ones along
-    random unit directions. Denominators are guarded by
+    Parameter sets of at most 1,024 values are probed coordinate by coordinate;
+    larger ones along random unit directions. Denominators are guarded by
     max(|analytic|, |numeric|, 1e-8).
     """
     if not (1e-6 <= h <= 1e-4):
@@ -171,7 +170,7 @@ def grad_check(
 
     total = sum(v.size for v in theta.values())
     max_err = 0.0
-    if total <= coord_limit:
+    if total <= 1024:
         for name, arr in theta.items():
             for idx in np.ndindex(arr.shape):
                 direction = {k: np.zeros_like(v) for k, v in theta.items()}

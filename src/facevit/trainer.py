@@ -16,7 +16,7 @@ import numpy as np
 from .arcface import arcface_loss_t
 from .autograd import Tensor, concat, log_softmax
 from .model import (ModelConfig, ModelWeights, Variant, cast_weights, h1_embed_batch,
-                    h2_logits_batch, h2l_features, init_random, params_to_tensors, row_cosine)
+                    h2_logits_batch, h2l_features, init_random, row_cosine)
 from .nn_core import grad_check
 from .records import Gallery
 
@@ -128,16 +128,12 @@ def pair_scores(state: TrainState, g: Gallery, pairs: list[Pair],
 
 
 def best_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Threshold maximizing accuracy on (scores, labels); deterministic."""
-    order = np.argsort(scores, kind="stable")
-    s, y = scores[order], labels[order].astype(np.float64)
+    """Threshold maximizing accuracy on (scores, labels); of equally good
+    candidates, the lowest."""
+    s = np.sort(scores)
     candidates = np.concatenate([[s[0] - 1.0], (s[:-1] + s[1:]) / 2.0, [s[-1] + 1.0]])
-    best_t, best_acc = candidates[0], -1.0
-    for t in candidates:
-        acc = float(((scores > t) == labels).mean())
-        if acc > best_acc:
-            best_t, best_acc = float(t), acc
-    return best_t
+    acc = ((scores > candidates[:, None]) == labels).mean(axis=1)
+    return float(candidates[np.argmax(acc)])
 
 
 def pair_accuracy(scores: np.ndarray, labels: np.ndarray, threshold: float) -> float:
@@ -145,8 +141,9 @@ def pair_accuracy(scores: np.ndarray, labels: np.ndarray, threshold: float) -> f
 
 
 def _batch_loss(state: TrainState, g: Gallery, pairs: list[Pair], tc: TrainConfig,
-                p: dict[str, Tensor], w_arc: Tensor | None,
-                update_stats: bool) -> Tensor:
+                p: dict[str, Tensor], update_stats: bool) -> Tensor:
+    """The batch's loss; `p` holds the model's parameters and, for H1 and
+    H2L, the class weights as `"arcface.W"`."""
     w = state.weights
     pa, pb = _pair_blocks(g, pairs)
     if w.config.variant is Variant.H2:
@@ -156,7 +153,16 @@ def _batch_loss(state: TrainState, g: Gallery, pairs: list[Pair], tc: TrainConfi
         return -(log_softmax(logits, axis=1) * onehot).sum() * (1.0 / len(pairs))
     # H1 and H2L: per-image angular-margin classification over both pair sides
     feats = concat(_pair_features(w, pa, pb, p, "batch", update_stats), axis=0)
-    return arcface_loss_t(feats, _pair_classes(state, g, pairs), w_arc, tc.margin, tc.scale)
+    return arcface_loss_t(feats, _pair_classes(state, g, pairs), p["arcface.W"], tc.margin, tc.scale)
+
+
+def _trainable(state: TrainState) -> dict[str, np.ndarray]:
+    """The arrays training updates: the model's parameters, then the class
+    weights, if any, as `"arcface.W"`."""
+    theta = dict(state.weights.params)
+    if state.arcface_w is not None:
+        theta["arcface.W"] = state.arcface_w
+    return theta
 
 
 def verify_gradients(state: TrainState, g: Gallery, tc: TrainConfig,
@@ -168,24 +174,16 @@ def verify_gradients(state: TrainState, g: Gallery, tc: TrainConfig,
     (each normalized sample is the exact mirror of the other).
     """
     probe = sample_pairs(g, 8, tc.seed + 17)
-    theta = dict(state.weights.params)
-    uses_arcface = state.arcface_w is not None
-    if uses_arcface:
-        theta["arcface.W"] = state.arcface_w
 
     def f(params: dict[str, np.ndarray]):
-        model_params = {k: Tensor(v, requires_grad=True) for k, v in params.items()
-                        if k != "arcface.W"}
-        w_arc = (Tensor(params["arcface.W"], requires_grad=True) if uses_arcface else None)
-        loss = _batch_loss(state, g, probe, tc, model_params, w_arc, update_stats=False)
+        p = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
+        loss = _batch_loss(state, g, probe, tc, p, update_stats=False)
         loss.backward()
         grads = {k: (t.grad if t.grad is not None else np.zeros_like(t.value))
-                 for k, t in model_params.items()}
-        if uses_arcface:
-            grads["arcface.W"] = w_arc.grad if w_arc.grad is not None else np.zeros_like(w_arc.value)
+                 for k, t in p.items()}
         return float(loss.value), grads
 
-    return grad_check(f, theta, h=h, n_directions=n_directions, seed=tc.seed)
+    return grad_check(f, _trainable(state), h=h, n_directions=n_directions, seed=tc.seed)
 
 
 class _Adam:
@@ -220,9 +218,8 @@ def train(cfg: ModelConfig, weights: ModelWeights | None, data: Gallery,
     weights = cast_weights(weights, np.float64, copy=True)
     identities = np.unique(data.identities).tolist()
     class_of = {ident: i for i, ident in enumerate(identities)}
-    uses_arcface = cfg.variant in (Variant.H2L, Variant.H1)
     arc_w = None
-    if uses_arcface:
+    if cfg.variant in (Variant.H2L, Variant.H1):
         arc_rng = np.random.default_rng(tc.seed + 1)
         arc_w = 0.01 * arc_rng.standard_normal((len(identities), cfg.out_dim))
     state = TrainState(weights, arc_w, class_of)
@@ -236,11 +233,11 @@ def train(cfg: ModelConfig, weights: ModelWeights | None, data: Gallery,
     hold_blocks = _pair_blocks(data, hold_pairs)
     hold_labels = np.array([same for _, _, same in hold_pairs])
 
+    # Adam updates theta's arrays in place, so the state sees every step
+    theta = _trainable(state)
     adam = _Adam(tc)
-    adam_arc = _Adam(tc)
     pairs_per_batch = tc.batch_size // 2
-    last_good = (copy.deepcopy(weights.params), copy.deepcopy(weights.buffers),
-                 None if arc_w is None else arc_w.copy())
+    last_good = copy.deepcopy((theta, weights.buffers))
     history: list[dict] = []
 
     for epoch in range(tc.epochs):
@@ -252,12 +249,10 @@ def train(cfg: ModelConfig, weights: ModelWeights | None, data: Gallery,
             batch = epoch_pairs[start:start + pairs_per_batch]
             if len(batch) < 2:
                 continue
-            p = params_to_tensors(weights, requires_grad=True)
-            w_arc = Tensor(arc_w, requires_grad=True) if uses_arcface else None
+            p = {k: Tensor(v, requires_grad=True) for k, v in theta.items()}
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    loss = _batch_loss(state, data, batch, tc, p, w_arc,
-                                       update_stats=True)
+                    loss = _batch_loss(state, data, batch, tc, p, update_stats=True)
             except (ValueError, FloatingPointError):
                 diverged = True
                 break
@@ -267,17 +262,14 @@ def train(cfg: ModelConfig, weights: ModelWeights | None, data: Gallery,
             loss.backward()
             losses.append(float(loss.value))
             if lr > 0:
-                grads = {k: t.grad for k, t in p.items() if t.grad is not None}
-                adam.step(weights.params, grads, lr)
-                if uses_arcface and w_arc.grad is not None:
-                    adam_arc.step({"arcface.W": arc_w}, {"arcface.W": w_arc.grad}, lr)
-                if not all(np.all(np.isfinite(v)) for v in weights.params.values()):
+                adam.step(theta, {k: t.grad for k, t in p.items()}, lr)
+                if not all(np.all(np.isfinite(v)) for v in theta.values()):
                     diverged = True
                     break
         if diverged:
-            weights.params, weights.buffers, restored = last_good[0], last_good[1], last_good[2]
-            if restored is not None:
-                state.arcface_w = arc_w = restored
+            good_theta, weights.buffers = last_good
+            for k, v in good_theta.items():
+                theta[k][...] = v
             history.append({"epoch": epoch, "loss": float("nan"), "holdout_accuracy": None,
                             "lr": lr, "diverged": True})
             break
@@ -289,7 +281,6 @@ def train(cfg: ModelConfig, weights: ModelWeights | None, data: Gallery,
         acc = pair_accuracy(hold_scores, hold_labels, state.threshold)
         history.append({"epoch": epoch, "loss": float(np.mean(losses)),
                         "holdout_accuracy": acc, "lr": lr})
-        last_good = (copy.deepcopy(weights.params), copy.deepcopy(weights.buffers),
-                     None if arc_w is None else arc_w.copy())
+        last_good = copy.deepcopy((theta, weights.buffers))
 
     return state, history

@@ -102,14 +102,16 @@ def check_rows_and_files(report, tmp_path, n_rows):
     return saved
 
 
-def test_wallclock_report_shape(tmp_path):
-    report = run_wallclock(n_patches=16, d=8, k=8, reps=5)
+# k=4 gives one gallery record per identity unless the suite raises it to 2
+@pytest.mark.parametrize("k", [4, 8])
+def test_wallclock_report_shape(tmp_path, k):
+    report = run_wallclock(n_patches=16, d=8, k=k, reps=5)
     assert list(report) == ["suite", "rows", "summary", "ratio_h2l_over_emd", "meta"]
     assert report["suite"] == "wallclock" and report["meta"]["workers"] == 1
     # kinds x reps rows, each kind's reps in order
     assert [(r.kind, r.rep) for r in report["rows"]] == [
         (kind, rep) for kind in ("h2l", "emd") for rep in range(5)]
-    assert {(r.n_patches, r.d, r.k, r.queries) for r in report["rows"]} == {(16, 8, 8, 5)}
+    assert {(r.n_patches, r.d, r.k, r.queries) for r in report["rows"]} == {(16, 8, k, 5)}
     for kind, s in report["summary"].items():
         assert s == summarize([r.seconds for r in report["rows"] if r.kind == kind])
         assert isinstance(s["unstable"], bool)
@@ -119,8 +121,9 @@ def test_wallclock_report_shape(tmp_path):
     assert saved["summary"] == summary
 
 
-def test_scaling_report_shape(tmp_path):
-    report = run_scaling(ns=(16, 64), d=8, k=8, reps=5)
+@pytest.mark.parametrize("k", [4, 8])
+def test_scaling_report_shape(tmp_path, k):
+    report = run_scaling(ns=(16, 64), d=8, k=k, reps=5)
     assert list(report) == ["suite", "rows", "medians", "slopes", "slope_gap", "unstable", "meta"]
     assert report["suite"] == "scaling" and report["meta"]["workers"] == 1
     assert [(r.n_patches, r.kind, r.rep) for r in report["rows"]] == [

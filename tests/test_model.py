@@ -1,6 +1,7 @@
 """Transformer variants: token layout, forward paths, scorer parity, weight files."""
 
 import math
+import re
 import struct
 import tracemalloc
 
@@ -413,6 +414,20 @@ def test_wrong_size_rejected_before_the_body_is_read(tmp_path):
     assert peak_bytes_of_rejected_load(short) < 1 << 20
 
 
+@pytest.mark.parametrize("field, value", [("depth", 0), ("heads", 3), ("dim", 0), ("n_patches", 0),
+                                          ("head_dim", 0), ("mlp_width", 0), ("out_dim", 0)])
+def test_header_with_an_invalid_dimension_names_the_file_and_field(tmp_path, field, value):
+    dims = dict(depth=1, heads=2, dim=16, n_patches=16, head_dim=8, mlp_width=64, out_dim=16)
+    dims[field] = value
+    path = tmp_path / "bad.fvwt"
+    path.write_bytes(struct.pack(_HEADER_FMT, b"FVWT", 1, _VARIANT_CODES[Variant.H2L],
+                                 *dims.values()) + bytes(64))
+    with pytest.raises(WeightFormatError, match=re.escape(f"{path}: {field} must be")):
+        load_weights(path)
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        ModelConfig(Variant.H2L, **dims)
+
+
 def test_header_describing_a_huge_body_rejected(tmp_path):
     cfg = ModelConfig(Variant.H2L, depth=1, heads=1, dim=60000, n_patches=60000,
                       head_dim=8, mlp_width=8, out_dim=8)
@@ -433,6 +448,6 @@ def test_save_checks_buffer_shapes(tmp_path):
 
 def test_params_to_tensors_requires_grad_flag():
     w = init_random(toy_cfg(depth=1), 0)
-    p = params_to_tensors(w, requires_grad=True)
-    assert all(t.requires_grad for t in p.values())
-    assert not any(t.requires_grad for t in params_to_tensors(w).values())
+    p = params_to_tensors(w)
+    assert not any(t.requires_grad for t in p.values())
+    assert all(p[k].value is v for k, v in w.params.items())

@@ -140,13 +140,25 @@ def test_zero_lr_leaves_weights_unchanged():
 
 
 def test_divergence_aborts_and_restores_last_finite_checkpoint():
+    """Epoch 1 blows up; the run returns exactly the state of the same run
+    stopped after epoch 0: parameters, buffers, class weights and threshold."""
     g = toy_gallery()
-    tc = quick_tc(epochs=4, lr_warmup=1e-4, lr_main=1e200)  # guaranteed blow-up
-    state, history = train(toy_model(), None, g, tc)
-    assert any(h.get("diverged") for h in history)
-    assert len(history) < 4 or history[-1].get("diverged")
-    for v in state.weights.params.values():
-        assert np.all(np.isfinite(v))
+    for variant in (Variant.H2L, Variant.H1, Variant.H2):
+        good, good_history = train(toy_model(variant), None, g, quick_tc(epochs=1))
+        tc = quick_tc(epochs=4, lr_warmup=1e-4, lr_main=1e200)  # guaranteed blow-up
+        state, history = train(toy_model(variant), None, g, tc)
+        assert history[0] == good_history[0]
+        assert len(history) == 2 and history[1]["diverged"]
+        assert state.threshold == good.threshold
+        for got, want in ((state.weights.params, good.weights.params),
+                          (state.weights.buffers, good.weights.buffers)):
+            assert got.keys() == want.keys()
+            for k, v in want.items():
+                np.testing.assert_array_equal(got[k], v)
+        if variant is Variant.H2:
+            assert state.arcface_w is None and good.arcface_w is None
+        else:
+            np.testing.assert_array_equal(state.arcface_w, good.arcface_w)
 
 
 def test_config_validation():
