@@ -22,9 +22,9 @@ from .records import (Occlusion, SynthConfig, generate_synthetic, load_gallery,
 from .trainer import TrainConfig, train
 
 
-_WORKERS_HELP = ("query threads (default: the CPU count); rerank --reranker emd runs its "
-                 "queries in this many forked processes at one BLAS thread each instead, "
-                 "because its Sinkhorn loop holds the interpreter lock")
+_WORKERS_HELP = ("query threads (default: the CPU count); rerank runs its queries in this "
+                 "many processes at one BLAS thread each instead, started with the fork "
+                 "method, which the platform must have")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -189,6 +189,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_explain(args) -> int:
     gallery = load_gallery(args.gallery)
+    if args.query_idx < 0 or args.gallery_idx < 0:
+        raise ValueError("--query-idx and --gallery-idx must be >= 0")
     qset = load_queries(args.queries) if args.queries else gallery
     q = qset.records[args.query_idx]
     cand = gallery.records[args.gallery_idx]

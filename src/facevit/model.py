@@ -69,17 +69,17 @@ class ModelConfig:
     out_dim: int = 512
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
         if self.heads not in _ALLOWED_HEADS:
             raise ValueError(f"heads must be one of {_ALLOWED_HEADS}")
         if self.head_dim is None:
             self.head_dim = self.dim // self.heads
         if self.mlp_width is None:
             self.mlp_width = 4 * self.dim
-        for name in ("dim", "n_patches", "head_dim", "mlp_width", "out_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # the limits of the FVWT header fields: u32 for mlp_width, u16 for the rest
+        for name in ("depth", "dim", "n_patches", "head_dim", "mlp_width", "out_dim"):
+            value, limit = getattr(self, name), 2**32 - 1 if name == "mlp_width" else 2**16 - 1
+            if not 1 <= value <= limit:
+                raise ValueError(f"{name} must be in [1, {limit}], got {value}")
 
     @property
     def inner_dim(self) -> int:

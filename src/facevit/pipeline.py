@@ -1,5 +1,7 @@
 """Two-stage identification: cosine ranking, then patch-level re-ranking of a
-top-k shortlist with alpha-blended scores, plus the retrieval metrics."""
+top-k shortlist with alpha-blended scores, plus the retrieval metrics. EMD and
+H2L jobs fork their workers, so they need a platform with the `fork` start
+method; Python 3.12 and later warn when the forking process has BLAS threads."""
 
 from __future__ import annotations
 
@@ -43,12 +45,13 @@ class PipelineConfig:
     emd: EmdSettings = field(default_factory=EmdSettings)
     weights: ModelWeights | None = None
     add_pos: bool = True
-    # query threads; EMD runs its queries in this many forked processes at one
-    # BLAS thread each instead, since its Sinkhorn loop of small numpy calls
-    # holds the interpreter lock and a second thread only adds handoffs
+    # query threads for stage-1-only jobs; EMD and H2L jobs run their queries
+    # in this many forked processes at one BLAS thread each instead
     workers: int = 1
 
     def validate(self, gallery_size: int) -> None:
+        if gallery_size == 0:
+            raise ValueError("the gallery is empty")
         if not (1 <= self.k <= gallery_size):
             raise ValueError(f"k must lie in [1, {gallery_size}]")
         if not (0.0 <= self.alpha <= 1.0):
@@ -168,18 +171,6 @@ def run_query(q: FaceRecord, g: Gallery, cfg: PipelineConfig,
     return stage2_rerank(q, g, order, scores, cfg, scorer, query_index)
 
 
-def _load_libc():
-    """The C library, when it is glibc (it has `mallopt` and `malloc_trim`), else None."""
-    try:
-        libc = ctypes.CDLL(None)
-        libc.mallopt, libc.malloc_trim
-    except (OSError, AttributeError, TypeError):
-        return None
-    return libc
-
-
-_LIBC = _load_libc()
-_M_ARENA_MAX = -8  # glibc's mallopt parameter for the most malloc arenas
 _BLAS_SETTERS = ("openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
                  "openblas_set_num_threads64_")
 
@@ -208,51 +199,41 @@ def _numpy_openblas():
 
 _BLAS = _numpy_openblas()
 _BLAS_SET_THREADS = getattr(*_BLAS) if _BLAS is not None else None
-_EMD_JOB = None  # (gallery, queries, cfg) in an EMD worker process
+_RERANK_JOB = None  # (gallery, queries, cfg, scorer) in a re-ranking worker process
 
 
-def _init_emd_worker(g: Gallery, queries: QuerySet, cfg: PipelineConfig) -> None:
+def _init_rerank_worker(g: Gallery, queries: QuerySet, cfg: PipelineConfig,
+                        scorer: H2LScorer | None) -> None:
     """Keeps the job, which fork copied rather than pickled, and pins BLAS to
     one thread: each worker's OpenBLAS helper threads would take the CPUs of
     the other workers."""
-    global _EMD_JOB
-    _EMD_JOB = (g, queries, cfg)
+    global _RERANK_JOB
+    _RERANK_JOB = (g, queries, cfg, scorer)
     if _BLAS_SET_THREADS is not None:
         _BLAS_SET_THREADS(1)
 
 
-def _emd_query(i: int) -> RankingResult:
-    g, queries, cfg = _EMD_JOB
-    return run_query(queries.records[i], g, cfg, None, i)
+def _rerank_query(i: int) -> RankingResult:
+    g, queries, cfg, scorer = _RERANK_JOB
+    return run_query(queries.records[i], g, cfg, scorer, i)
 
 
 def run_pipeline(g: Gallery, queries: QuerySet, cfg: PipelineConfig) -> list[RankingResult]:
     cfg.validate(len(g))
-    if cfg.reranker is Reranker.EMD:
-        # Sinkhorn's small numpy calls hold the interpreter lock, so EMD
-        # queries run in processes, which share the gallery's pages through fork
-        with ProcessPoolExecutor(max(1, min(cfg.workers, len(queries))),
-                                 mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_init_emd_worker,
-                                 initargs=(g, queries, cfg)) as pool:
-            return list(pool.map(_emd_query, range(len(queries))))
+    if cfg.reranker is Reranker.NONE:
+        with ThreadPoolExecutor(max(1, cfg.workers)) as pool:
+            futures = [pool.submit(run_query, q, g, cfg, None, i)
+                       for i, q in enumerate(queries.records)]
+            return [fut.result() for fut in futures]
+    # Sinkhorn holds the interpreter lock, and threads keep H2L's freed block
+    # temporaries in their malloc arenas; forked workers share the gallery and the
+    # scorer's f32 weights, run BLAS on one thread each and return their memory
     scorer = H2LScorer(cfg.weights, add_pos=cfg.add_pos) if cfg.reranker is Reranker.H2L else None
-    # H2L workers allocate from glibc's main arena (for the rest of the
-    # process; threads started before keep their own), and its free pages go
-    # back to the OS once the pool closes. A worker's own arena keeps its
-    # heap's top resident up to the trim threshold, which grows with the
-    # largest block temporary and which `malloc_trim` cannot release: none to
-    # two 64 MB heaps of it outlived a job, as the workers happened to interleave.
-    one_arena = scorer is not None and _LIBC is not None
-    if one_arena:
-        _LIBC.mallopt(_M_ARENA_MAX, 1)
-    with ThreadPoolExecutor(max(1, cfg.workers)) as pool:
-        futures = [pool.submit(run_query, q, g, cfg, scorer, i)
-                   for i, q in enumerate(queries.records)]
-        results = [fut.result() for fut in futures]
-    if one_arena:
-        _LIBC.malloc_trim(0)
-    return results
+    with ProcessPoolExecutor(max(1, min(cfg.workers, len(queries))),
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_rerank_worker,
+                             initargs=(g, queries, cfg, scorer)) as pool:
+        return list(pool.map(_rerank_query, range(len(queries))))
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,9 @@ def save_records(rs: RecordSet, path) -> None:
     """FVEB, little-endian. Version 1 is the fixed 512-dim / 64-patch layout;
     version 2 prefixes explicit dimensions for other shapes."""
     n_patches, dim = rs.patches.shape[1:]
+    for name, value in (("dim", dim), ("n_patches", n_patches)):
+        if value > 2**16 - 1:  # a u16 header field
+            raise ValueError(f"{path}: FVEB cannot hold {name} {value}, the limit is 65535")
     if (dim, n_patches) == (DEFAULT_DIM, DEFAULT_GRID * DEFAULT_GRID):
         header = struct.pack("<HI", 1, len(rs))
     else:

@@ -166,7 +166,7 @@ def _trainable(state: TrainState) -> dict[str, np.ndarray]:
 
 
 def verify_gradients(state: TrainState, g: Gallery, tc: TrainConfig,
-                     n_directions: int = 6, h: float = 1e-5) -> float:
+                     n_directions: int = 6) -> float:
     """Finite-difference check of the full loss on an 8-pair probe batch.
 
     The probe batch must be large enough that the batch-statistics path of
@@ -183,7 +183,7 @@ def verify_gradients(state: TrainState, g: Gallery, tc: TrainConfig,
                  for k, t in p.items()}
         return float(loss.value), grads
 
-    return grad_check(f, _trainable(state), h=h, n_directions=n_directions, seed=tc.seed)
+    return grad_check(f, _trainable(state), n_directions=n_directions, seed=tc.seed)
 
 
 class _Adam:

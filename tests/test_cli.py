@@ -8,6 +8,7 @@ import pytest
 
 from facevit.cli import main
 from facevit.model import ModelConfig, Variant, init_random, save_weights
+from facevit.records import Gallery, save_records
 
 
 def run(*argv):
@@ -172,3 +173,35 @@ def test_gen_synth_is_deterministic(tmp_path):
                    "--seed", "7", "--dim", "16", "--grid", "4", "--out", stem) == 0
     assert open(a + ".gallery", "rb").read() == open(b + ".gallery", "rb").read()
     assert open(a + ".queries", "rb").read() == open(b + ".queries", "rb").read()
+
+
+def test_gen_synth_beyond_the_fveb_header_exits_one_with_one_error_line(tmp_path, capsys):
+    stem = str(tmp_path / "big")
+    assert run("gen-synth", "--identities", "2", "--per-id", "2", "--sigma", "0.1",
+               "--dim", "1", "--grid", "300", "--out", stem) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {stem}.gallery: FVEB cannot hold n_patches 90000, the limit is 65535"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--query-idx", "--gallery-idx"])
+def test_explain_negative_index_exits_one(synth, tmp_path, capsys, flag):
+    idx = {"--query-idx": "0", "--gallery-idx": "1", flag: "-1"}
+    out = tmp_path / "h.csv"
+    assert run("explain", "--gallery", synth + ".gallery", "--queries", synth + ".queries",
+               "--query-idx", idx["--query-idx"], "--gallery-idx", idx["--gallery-idx"],
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --query-idx and --gallery-idx must be >= 0"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["rank"], ["rerank", "--reranker", "emd"]])
+def test_empty_gallery_exits_one_naming_it(synth, tmp_path, capsys, command):
+    empty = tmp_path / "empty.gallery"
+    save_records(Gallery(), empty)
+    out = tmp_path / "r.csv"
+    assert run(*command, "--gallery", str(empty), "--queries", synth + ".queries",
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: the gallery is empty"]
+    assert not out.exists()

@@ -428,6 +428,19 @@ def test_header_with_an_invalid_dimension_names_the_file_and_field(tmp_path, fie
         ModelConfig(Variant.H2L, **dims)
 
 
+@pytest.mark.parametrize("field, value", [("depth", 2**16), ("dim", 2**16), ("n_patches", 70000),
+                                          ("head_dim", 2**16), ("mlp_width", 2**32),
+                                          ("out_dim", 2**16)])
+def test_config_rejects_a_dimension_its_header_field_cannot_hold(field, value):
+    dims = dict(depth=1, heads=1, dim=8, n_patches=4, head_dim=8, mlp_width=8, out_dim=8)
+    dims[field] = value
+    limit = 2**32 - 1 if field == "mlp_width" else 2**16 - 1
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be in [1, {limit}], got {value}")):
+        ModelConfig(Variant.H2L, **dims)
+    dims[field] = limit  # the largest value fits the header
+    assert struct.pack(_HEADER_FMT, b"FVWT", 1, 2, *dims.values())
+
+
 def test_header_describing_a_huge_body_rejected(tmp_path):
     cfg = ModelConfig(Variant.H2L, depth=1, heads=1, dim=60000, n_patches=60000,
                       head_dim=8, mlp_width=8, out_dim=8)

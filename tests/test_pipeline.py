@@ -31,6 +31,12 @@ def h2l_weights(seed=0):
                                    n_patches=16, out_dim=16), seed)
 
 
+@pytest.fixture(autouse=True)
+def no_worker_outlives_its_test():
+    yield
+    assert multiprocessing.active_children() == []
+
+
 # -- stage 1 -----------------------------------------------------------------
 
 def test_stage1_matches_brute_force_cosine():
@@ -325,10 +331,12 @@ def test_emd_runs_in_one_fork_process_per_query_up_to_workers(monkeypatch):
     g, q = toy_data()
     two = QuerySet(records=q.records[:2])
     emd = PipelineConfig(k=3, reranker=Reranker.EMD, workers=4)
-    h2l = PipelineConfig(k=3, reranker=Reranker.H2L, weights=h2l_weights(), workers=3)
+    h2l = PipelineConfig(k=3, reranker=Reranker.H2L, weights=h2l_weights(), workers=4)
     assert pools(monkeypatch, g, two, emd) == [("processes", 2, "fork")]
     assert multiprocessing.active_children() == []
-    assert pools(monkeypatch, g, q, h2l) == [("threads", 3, None)]
+    assert pools(monkeypatch, g, q, h2l) == [("processes", 3, "fork")]
+    assert multiprocessing.active_children() == []
+    assert pools(monkeypatch, g, q, PipelineConfig(k=1, workers=3)) == [("threads", 3, None)]
     assert pools(monkeypatch, g, q, PipelineConfig(k=1, workers=0)) == [("threads", 1, None)]
 
 
@@ -336,9 +344,11 @@ def test_no_emd_worker_outlives_a_failed_query():
     g, _ = toy_data()
     # queries of a 2x2 grid against the gallery's 4x4: the worker's shape check raises
     _, q = generate_synthetic(SynthConfig(3, 3, 0.3, 1, dim=16, grid=2))
-    with pytest.raises(ValueError, match="do not match"):
-        run_pipeline(g, q, PipelineConfig(k=3, reranker=Reranker.EMD, workers=2))
-    assert multiprocessing.active_children() == []
+    for cfg in (PipelineConfig(k=3, reranker=Reranker.EMD, workers=2),
+                PipelineConfig(k=3, reranker=Reranker.H2L, weights=h2l_weights(), workers=2)):
+        with pytest.raises(ValueError, match="do not match"):
+            run_pipeline(g, q, cfg)
+        assert multiprocessing.active_children() == []
 
 
 def test_workers_produce_identical_results():
@@ -361,13 +371,17 @@ def test_workers_produce_identical_results():
 
 def test_emd_worker_pins_blas_to_one_thread(monkeypatch):
     g, q = toy_data()
-    cfg = PipelineConfig(k=3, reranker=Reranker.EMD)
-    calls = []
-    monkeypatch.setattr(pipeline, "_BLAS_SET_THREADS", calls.append)
-    monkeypatch.setattr(pipeline, "_EMD_JOB", None)
-    pipeline._init_emd_worker(g, q, cfg)
-    assert calls == [1]
-    assert pipeline._emd_query(1).order.tolist() == run_query(q.records[1], g, cfg).order.tolist()
+    emd = PipelineConfig(k=3, reranker=Reranker.EMD)
+    h2l = PipelineConfig(k=3, reranker=Reranker.H2L, weights=h2l_weights())
+    for cfg, scorer in ((emd, None), (h2l, H2LScorer(h2l.weights))):
+        calls = []
+        monkeypatch.setattr(pipeline, "_BLAS_SET_THREADS", calls.append)
+        monkeypatch.setattr(pipeline, "_RERANK_JOB", None)
+        pipeline._init_rerank_worker(g, q, cfg, scorer)
+        assert calls == [1]
+        got, want = pipeline._rerank_query(1), run_query(q.records[1], g, cfg)
+        assert got.order.tolist() == want.order.tolist()
+        np.testing.assert_array_equal(got.stage2, want.stage2)
 
 
 def test_emd_job_leaves_the_parents_blas_threads_alone():
@@ -392,29 +406,6 @@ def test_emd_job_runs_without_a_blas_setter(monkeypatch):
     monkeypatch.setattr(pipeline, "_BLAS_SET_THREADS", None)
     got = run_pipeline(g, q, cfg)
     assert [r.order.tolist() for r in got] == [r.order.tolist() for r in expect]
-
-
-def test_h2l_jobs_use_one_malloc_arena_and_return_it(monkeypatch):
-    g, q = toy_data()
-    calls = []
-
-    class FakeLibc:
-        def mallopt(self, param, value):
-            calls.append(("mallopt", param, value))
-
-        def malloc_trim(self, pad):
-            calls.append(("malloc_trim", pad))
-
-    monkeypatch.setattr(pipeline, "_LIBC", FakeLibc())
-    run_pipeline(g, q, PipelineConfig(k=3, reranker=Reranker.H2L, weights=h2l_weights(),
-                                      workers=2))
-    assert calls == [("mallopt", -8, 1), ("malloc_trim", 0)]  # -8 is M_ARENA_MAX in malloc.h
-    run_pipeline(g, q, PipelineConfig(k=3, reranker=Reranker.EMD))
-    run_pipeline(g, q, PipelineConfig(k=1))
-    assert len(calls) == 2
-    # without glibc the job runs all the same
-    monkeypatch.setattr(pipeline, "_LIBC", None)
-    run_pipeline(g, q, PipelineConfig(k=3, reranker=Reranker.H2L, weights=h2l_weights()))
 
 
 def test_h2l_workers_produce_identical_results():

@@ -188,6 +188,16 @@ def test_empty_set_is_ten_byte_header(tmp_path):
     assert len(load_gallery(path).records) == 0
 
 
+@pytest.mark.parametrize("dim, n_patches, field", [(1, 90000, "n_patches 90000"),
+                                                   (70000, 1, "dim 70000")])
+def test_save_rejects_a_shape_the_header_cannot_hold(tmp_path, dim, n_patches, field):
+    rec = FaceRecord(0, np.ones(dim), np.ones((n_patches, dim), np.float32))
+    path = tmp_path / "big.fveb"
+    with pytest.raises(ValueError, match=f"FVEB cannot hold {field}, the limit is 65535"):
+        save_records(Gallery(records=[rec]), path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_round_trip_default_shape_is_version_1(tmp_path):
     rng = np.random.default_rng(0)
     rec = FaceRecord(7, rng.standard_normal(DEFAULT_DIM).astype(np.float32).astype(np.float64),
