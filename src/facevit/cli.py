@@ -189,9 +189,11 @@ def _cmd_bench(args) -> int:
 
 def _cmd_explain(args) -> int:
     gallery = load_gallery(args.gallery)
-    if args.query_idx < 0 or args.gallery_idx < 0:
-        raise ValueError("--query-idx and --gallery-idx must be >= 0")
     qset = load_queries(args.queries) if args.queries else gallery
+    for flag, idx, rs in (("--query-idx", args.query_idx, qset),
+                          ("--gallery-idx", args.gallery_idx, gallery)):
+        if not 0 <= idx < len(rs):
+            raise ValueError(f"{flag} {idx} is out of range for {len(rs)} records")
     q = qset.records[args.query_idx]
     cand = gallery.records[args.gallery_idx]
     map_qc, map_cq = cc_heatmap(q, cand)

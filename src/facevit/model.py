@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .autograd import Tensor, concat
-from .nn_core import LayerParams, encoder_layer_t, layer_norm_t
+from .nn_core import encoder_layer_t, layer_norm_t
 from .records import FaceRecord, atomic_write
 
 _WEIGHT_MAGIC = b"FVWT"
@@ -103,12 +103,16 @@ class ModelWeights:
 # parameter layout
 # ---------------------------------------------------------------------------
 
-_LAYER_FIELDS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                 "w1", "b1", "w2", "b2", "ln1_g", "ln1_b", "ln2_g", "ln2_b")
+def _layer_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """One encoder layer's blocks by leaf name, in FVWT order."""
+    d, di, m = cfg.dim, cfg.inner_dim, cfg.mlp_width
+    return {"wq": (d, di), "bq": (di,), "wk": (d, di), "bk": (di,), "wv": (d, di), "bv": (di,),
+            "wo": (di, d), "bo": (d,), "w1": (d, m), "b1": (m,), "w2": (m, d), "b2": (d,),
+            "ln1_g": (d,), "ln1_b": (d,), "ln2_g": (d,), "ln2_b": (d,)}
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    d, di, m = cfg.dim, cfg.inner_dim, cfg.mlp_width
+    d = cfg.dim
     shapes: dict[str, tuple[int, ...]] = {
         "token_proj": (d, d),
         "cls_token": (d,),
@@ -117,17 +121,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     if cfg.variant is not Variant.H1:
         shapes["sep_token"] = (d,)
     for i in range(cfg.depth):
-        pre = f"layers.{i}."
-        shapes.update({
-            pre + "wq": (d, di), pre + "bq": (di,),
-            pre + "wk": (d, di), pre + "bk": (di,),
-            pre + "wv": (d, di), pre + "bv": (di,),
-            pre + "wo": (di, d), pre + "bo": (d,),
-            pre + "w1": (d, m), pre + "b1": (m,),
-            pre + "w2": (m, d), pre + "b2": (d,),
-            pre + "ln1_g": (d,), pre + "ln1_b": (d,),
-            pre + "ln2_g": (d,), pre + "ln2_b": (d,),
-        })
+        shapes.update({f"layers.{i}.{leaf}": shape for leaf, shape in _layer_shapes(cfg).items()})
     if cfg.variant is Variant.H2L:
         flat = cfg.n_patches * d
         shapes.update({
@@ -160,25 +154,20 @@ def _trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 def init_random(cfg: ModelConfig, seed: int) -> ModelWeights:
     """Deterministic init: near-identity token projection, truncated-normal
-    embeddings, fan-in uniform affine maps. Values are rounded to f32
-    precision so that weight files round-trip exactly."""
+    embeddings, fan-in uniform matrices, unit gains (`*_g`), zero biases.
+    Values are rounded to f32 precision so that weight files round-trip exactly."""
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(cfg).items():
-        leaf = name.rsplit(".", 1)[-1]
         if name == "token_proj":
             arr = np.eye(cfg.dim) + _trunc_normal(rng, shape)
         elif name in ("cls_token", "sep_token", "pos_embed"):
             arr = _trunc_normal(rng, shape)
-        elif leaf.startswith(("ln1_g", "ln2_g", "ln_g", "bn1_g", "bn2_g")) or leaf in ("ln_g",):
-            arr = np.ones(shape)
-        elif leaf.startswith("b") or leaf.endswith("_b"):
-            arr = np.zeros(shape)
-        elif leaf.startswith("w") or leaf.endswith("_w"):
+        elif len(shape) == 2:
             bound = 1.0 / np.sqrt(shape[0])
             arr = rng.uniform(-bound, bound, size=shape)
         else:
-            raise AssertionError(f"unhandled parameter {name}")
+            arr = np.ones(shape) if name.endswith("_g") else np.zeros(shape)
         params[name] = arr.astype(np.float32).astype(np.float64)
     buffers = {}
     for name, shape in buffer_shapes(cfg).items():
@@ -196,11 +185,6 @@ def cast_weights(w: ModelWeights, dtype, copy: bool = False, keep: tuple[str, ..
 
 def params_to_tensors(w: ModelWeights) -> dict[str, Tensor]:
     return {k: Tensor(v) for k, v in w.params.items()}
-
-
-def layer_tensors(p: dict[str, Tensor], i: int, heads: int) -> LayerParams:
-    pre = f"layers.{i}."
-    return LayerParams(heads=heads, **{f: p[pre + f] for f in _LAYER_FIELDS})
 
 
 # ---------------------------------------------------------------------------
@@ -247,32 +231,32 @@ def _encode(z, p: dict[str, Tensor], cfg: ModelConfig) -> tuple[Tensor, list[np.
     """The encoder layers; `z` is a Tensor or the first layer's token blocks."""
     attns = []
     for i in range(cfg.depth):
-        z, attn = encoder_layer_t(z, layer_tensors(p, i, cfg.heads), _LN_EPS)
+        layer = {leaf: p[f"layers.{i}.{leaf}"] for leaf in _layer_shapes(cfg)}
+        z, attn = encoder_layer_t(z, layer, cfg.heads, _LN_EPS)
         attns.append(attn)
     return z, attns
 
 
-def _batch_norm_t(x: Tensor, gamma: Tensor, beta: Tensor, mean: np.ndarray, var: np.ndarray,
-                  mode: str, buffers: dict[str, np.ndarray] | None = None,
-                  names: tuple[str, str] | None = None) -> Tensor:
-    """Per-feature affine normalization. mode='running' uses frozen statistics
-    (well-defined at batch size 1); mode='batch' uses batch statistics and,
-    when buffers/names are given, updates the running ones with momentum 0.1."""
+def _batch_norm_t(x: Tensor, p: dict[str, Tensor], buffers: dict[str, np.ndarray], pre: str,
+                  mode: str, update_stats: bool = False) -> Tensor:
+    """Per-feature affine normalization by `{pre}_g` and `{pre}_b`. mode='running'
+    uses the running statistics `{pre}_mean` and `{pre}_var` (well-defined at
+    batch size 1); mode='batch' uses batch statistics and, with
+    `update_stats`, updates the running ones with momentum 0.1."""
     if mode == "running":
-        centered = x - Tensor(mean)
-        scaled = centered / Tensor(np.sqrt(var + _BN_EPS))
+        centered = x - Tensor(buffers[pre + "_mean"])
+        scaled = centered / Tensor(np.sqrt(buffers[pre + "_var"] + _BN_EPS))
     elif mode == "batch":
         mu = x.mean(axis=0, keepdims=True)
         centered = x - mu
         batch_var = (centered * centered).mean(axis=0, keepdims=True)
         scaled = centered / (batch_var + _BN_EPS).sqrt()
-        if buffers is not None and names is not None:
-            m_name, v_name = names
-            buffers[m_name] = 0.9 * buffers[m_name] + 0.1 * mu.value[0]
-            buffers[v_name] = 0.9 * buffers[v_name] + 0.1 * batch_var.value[0]
+        if update_stats:
+            buffers[pre + "_mean"] = 0.9 * buffers[pre + "_mean"] + 0.1 * mu.value[0]
+            buffers[pre + "_var"] = 0.9 * buffers[pre + "_var"] + 0.1 * batch_var.value[0]
     else:
         raise ValueError(f"unknown batch-norm mode {mode!r}")
-    return scaled * gamma + beta
+    return scaled * p[pre + "_g"] + p[pre + "_b"]
 
 
 def _h2l_encode(w: ModelWeights, patches_a: np.ndarray, patches_b: np.ndarray,
@@ -290,17 +274,14 @@ def _h2l_encode(w: ModelWeights, patches_a: np.ndarray, patches_b: np.ndarray,
 
 def _h2l_head(w: ModelWeights, z1: Tensor, z2: Tensor, p: dict[str, Tensor],
               bn_mode: str = "running", update_stats: bool = False) -> tuple[Tensor, Tensor]:
-    """The head part of the H2L forward: per image, linear, batch norm, then
-    the shared layer norm. Every op but batch-mode statistics is row-wise."""
-    bufs = w.buffers if update_stats else None
-    f1 = _batch_norm_t(z1 @ p["head.lin1_w"] + p["head.lin1_b"], p["head.bn1_g"], p["head.bn1_b"],
-                       w.buffers["head.bn1_mean"], w.buffers["head.bn1_var"], bn_mode,
-                       bufs, ("head.bn1_mean", "head.bn1_var"))
-    f2 = _batch_norm_t(z2 @ p["head.lin2_w"] + p["head.lin2_b"], p["head.bn2_g"], p["head.bn2_b"],
-                       w.buffers["head.bn2_mean"], w.buffers["head.bn2_var"], bn_mode,
-                       bufs, ("head.bn2_mean", "head.bn2_var"))
-    return (layer_norm_t(f1, p["head.ln_g"], p["head.ln_b"], _LN_EPS),
-            layer_norm_t(f2, p["head.ln_g"], p["head.ln_b"], _LN_EPS))
+    """The head part of the H2L forward: per image i, linear `lin{i}`, batch
+    norm `bn{i}`, then the shared layer norm. Every op but batch-mode
+    statistics is row-wise."""
+    def side(z: Tensor, i: int) -> Tensor:
+        f = z @ p[f"head.lin{i}_w"] + p[f"head.lin{i}_b"]
+        f = _batch_norm_t(f, p, w.buffers, f"head.bn{i}", bn_mode, update_stats)
+        return layer_norm_t(f, p["head.ln_g"], p["head.ln_b"], _LN_EPS)
+    return side(z1, 1), side(z2, 2)
 
 
 def h2l_features(

@@ -5,40 +5,17 @@ the dtype of its inputs: float64 for training and gradient checks, float32 for
 the re-ranking forward. A dense layer runs as one GEMM over all of a token
 block's rows (see `Tensor.__matmul__`). Attention and the encoder layer also
 take their input as a list of token blocks, so a block shared by a batch is
-projected once.
+projected once. A layer's parameters are a mapping from the leaf names that
+`model._layer_shapes` lists to Tensors; its head count is a separate argument.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .autograd import Tensor, concat, ensure_tensor, softmax as softmax_t
-
-
-@dataclass
-class LayerParams:
-    """Parameters of one pre-norm encoder layer (attention + MLP)."""
-
-    heads: int
-    wq: np.ndarray  # D x D_inner, D_inner = heads * head_dim
-    bq: np.ndarray
-    wk: np.ndarray
-    bk: np.ndarray
-    wv: np.ndarray
-    bv: np.ndarray
-    wo: np.ndarray  # D_inner x D
-    bo: np.ndarray
-    w1: np.ndarray  # D x m
-    b1: np.ndarray
-    w2: np.ndarray  # m x D
-    b2: np.ndarray
-    ln1_g: np.ndarray
-    ln1_b: np.ndarray
-    ln2_g: np.ndarray
-    ln2_b: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -60,21 +37,22 @@ def layer_norm_t(x: Tensor, gamma, beta, eps: float = 1e-6) -> Tensor:
     return centered / (var + eps).sqrt() * gamma + beta
 
 
-def mlp_block_t(x: Tensor, p: LayerParams) -> Tensor:
+def mlp_block_t(x: Tensor, p: Mapping[str, Tensor]) -> Tensor:
     """Affine -> GELU -> affine, applied row-wise."""
     x = ensure_tensor(x)
-    w1 = ensure_tensor(p.w1)
+    w1 = ensure_tensor(p["w1"])
     if x.value.shape[-1] != w1.value.shape[0]:
         raise ValueError("mlp_block input dimension mismatch")
-    h = (x @ w1 + ensure_tensor(p.b1)).gelu()
-    return h @ ensure_tensor(p.w2) + ensure_tensor(p.b2)
+    h = (x @ w1 + ensure_tensor(p["b1"])).gelu()
+    return h @ ensure_tensor(p["w2"]) + ensure_tensor(p["b2"])
 
 
 def _token_blocks(tokens) -> list[Tensor]:
     return [ensure_tensor(b) for b in (tokens if isinstance(tokens, (list, tuple)) else [tokens])]
 
 
-def multi_head_attention_t(tokens, p: LayerParams) -> tuple[Tensor, np.ndarray]:
+def multi_head_attention_t(tokens, p: Mapping[str, Tensor],
+                           heads: int) -> tuple[Tensor, np.ndarray]:
     """Scaled-dot-product attention over (..., T, D) tokens.
 
     `tokens` is one Tensor or a list of blocks that join along the token axis,
@@ -86,37 +64,38 @@ def multi_head_attention_t(tokens, p: LayerParams) -> tuple[Tensor, np.ndarray]:
     (..., heads, T, T) as plain arrays for the explainer.
     """
     blocks = _token_blocks(tokens)
-    wq = ensure_tensor(p.wq)
+    wq = ensure_tensor(p["wq"])
     d_inner = wq.value.shape[1]
-    if d_inner % p.heads != 0:
+    if d_inner % heads != 0:
         raise ValueError("attention inner dim must be divisible by head count")
     if any(b.value.shape[-1] != wq.value.shape[0] for b in blocks):
         raise ValueError("attention input dimension mismatch")
-    d_h = d_inner // p.heads
+    d_h = d_inner // heads
 
     def project(w, bias) -> Tensor:
         w, bias = ensure_tensor(w), ensure_tensor(bias)
         return concat([b @ w + bias for b in blocks], axis=-2)
 
-    q = project(wq, p.bq)
+    q = project(wq, p["bq"])
     lead, t_len = q.shape[:-2], q.shape[-2]
 
     def split_heads(x: Tensor) -> Tensor:
-        return x.reshape(lead + (t_len, p.heads, d_h)).swapaxes(-3, -2)
+        return x.reshape(lead + (t_len, heads, d_h)).swapaxes(-3, -2)
 
     q = split_heads(q)
-    k = split_heads(project(p.wk, p.bk))
-    v = split_heads(project(p.wv, p.bv))
+    k = split_heads(project(p["wk"], p["bk"]))
+    v = split_heads(project(p["wv"], p["bv"]))
 
     scores = (q @ k.swapaxes(-1, -2)) * float(1.0 / np.sqrt(d_h))
     attn = softmax_t(scores, axis=-1)
     mixed = attn @ v  # (..., heads, T, d_h)
     merged = mixed.swapaxes(-3, -2).reshape(lead + (t_len, d_inner))
-    out = merged @ ensure_tensor(p.wo) + ensure_tensor(p.bo)
+    out = merged @ ensure_tensor(p["wo"]) + ensure_tensor(p["bo"])
     return out, attn.value
 
 
-def encoder_layer_t(z, p: LayerParams, eps: float = 1e-6) -> tuple[Tensor, np.ndarray]:
+def encoder_layer_t(z, p: Mapping[str, Tensor], heads: int,
+                    eps: float = 1e-6) -> tuple[Tensor, np.ndarray]:
     """Pre-norm block with residuals on both sub-layers. `z` is one Tensor or
     a list of token blocks, as `multi_head_attention_t` takes; layer norm
     runs per block, and the output is one (..., T, D) Tensor. Blocks of equal
@@ -125,10 +104,10 @@ def encoder_layer_t(z, p: LayerParams, eps: float = 1e-6) -> tuple[Tensor, np.nd
     blocks = _token_blocks(z)
     if len({b.shape[:-2] for b in blocks}) == 1:
         blocks = [concat(blocks, axis=-2)]
-    normed = [layer_norm_t(b, p.ln1_g, p.ln1_b, eps) for b in blocks]
-    attn_out, attn = multi_head_attention_t(normed, p)
+    normed = [layer_norm_t(b, p["ln1_g"], p["ln1_b"], eps) for b in blocks]
+    attn_out, attn = multi_head_attention_t(normed, p, heads)
     z = concat(blocks, axis=-2) + attn_out
-    z = z + mlp_block_t(layer_norm_t(z, p.ln2_g, p.ln2_b, eps), p)
+    z = z + mlp_block_t(layer_norm_t(z, p["ln2_g"], p["ln2_b"], eps), p)
     return z, attn
 
 

@@ -334,7 +334,7 @@ def load_gallery(path) -> Gallery:
         if end < size:
             raise TruncatedFileError(f"{path}: {size - end} trailing bytes")
         if math.isqrt(n_patches) ** 2 != n_patches:
-            raise ValueError(f"{path}: {n_patches} patches do not form a square grid")
+            raise GalleryFormatError(f"{path}: {n_patches} patches do not form a square grid")
         identities = np.empty(count, np.int64)
         occlusion = np.empty(count, np.uint8)
         images = np.empty((count, dim))
@@ -346,9 +346,9 @@ def load_gallery(path) -> Gallery:
             chunk = np.frombuffer(mmap.mmap(fh.fileno(), skip + n * record.itemsize, offset=at - skip,
                                             access=mmap.ACCESS_READ), record, n, skip)
             if not (np.isfinite(chunk["image"]).all() and np.isfinite(chunk["patches"]).all()):
-                raise ValueError(f"{path}: non-finite embedding values")
+                raise GalleryFormatError(f"{path}: non-finite embedding values")
             if (chunk["occlusion"] >= len(Occlusion)).any():
-                raise ValueError(f"{path}: unknown occlusion code")
+                raise GalleryFormatError(f"{path}: unknown occlusion code")
             rows = slice(start, start + len(chunk))
             identities[rows], occlusion[rows] = chunk["identity"], chunk["occlusion"]
             images[rows] = chunk["image"]

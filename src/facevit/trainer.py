@@ -21,7 +21,7 @@ from .nn_core import grad_check
 from .records import Gallery
 
 
-class TrainerError(Exception):
+class TrainerError(ValueError):
     pass
 
 
@@ -72,6 +72,8 @@ def sample_pairs(g: Gallery, n: int, seed: int) -> list[Pair]:
     if not positives:
         raise TrainerError("no identity has >= 2 records; cannot form positive pairs")
     ids = sorted(by_id)
+    if len(ids) < 2:
+        raise TrainerError("need at least 2 identities; cannot form negative pairs")
     rng = np.random.default_rng(seed)
     half = n // 2
     pairs: list[Pair] = []

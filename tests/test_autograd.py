@@ -45,6 +45,7 @@ UNARY_OPS = [
     lambda t: t.swapaxes(0, 1),
     lambda t: softmax(t, axis=1),
     lambda t: log_softmax(t, axis=0),
+    lambda t: t.mean(),
 ]
 
 
@@ -88,6 +89,20 @@ def test_matmul_batched_and_vector_cases():
     (y * y).sum().backward()
     nv = numeric_grad(lambda x: float(((x @ m.value) ** 2).sum()), v.value.copy())
     np.testing.assert_allclose(v.grad, nv, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [((3, 4), (4,)), ((4,), (4,)), ((4,), (4, 3))],
+                         ids=["matrix-vector", "vector-vector", "vector-matrix"])
+def test_matmul_vector_operand_gradients(shape_a, shape_b):
+    rng = np.random.default_rng(4)
+    a = Tensor(rng.standard_normal(shape_a), requires_grad=True)
+    b = Tensor(rng.standard_normal(shape_b), requires_grad=True)
+    y = a @ b
+    (y * y).sum().backward()
+    na = numeric_grad(lambda v: float(((v @ b.value) ** 2).sum()), a.value.copy())
+    nb = numeric_grad(lambda v: float(((a.value @ v) ** 2).sum()), b.value.copy())
+    np.testing.assert_allclose(a.grad, na, rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(b.grad, nb, rtol=1e-6, atol=1e-6)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

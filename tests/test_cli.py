@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from facevit import bench, cli
 from facevit.cli import main
 from facevit.model import ModelConfig, Variant, init_random, save_weights
-from facevit.records import Gallery, save_records
+from facevit.records import Gallery, load_gallery, save_records
 
 
 def run(*argv):
@@ -147,6 +148,61 @@ def test_train_toy_unknown_config_key_exits_one(synth, tmp_path, capsys, section
     assert err.startswith(f"error: {path}: ") and "bogus" in err
 
 
+@pytest.mark.parametrize("data, cause", [
+    pytest.param("queries", "no identity has >= 2 records; cannot form positive pairs",
+                 id="queries"),
+    pytest.param("one-identity", "need at least 2 identities; cannot form negative pairs",
+                 id="one-identity"),
+])
+def test_train_toy_without_pairs_exits_one_naming_the_cause(synth, tmp_path, capsys, data, cause):
+    # the query file holds one record per identity
+    path = synth + ".queries"
+    if data == "one-identity":
+        path = str(tmp_path / "one.gallery")
+        gallery = load_gallery(synth + ".gallery")
+        save_records(Gallery(records=[r for r in gallery.records if r.identity == 0]), path)
+    conf = tmp_path / "train.json"
+    conf.write_text(json.dumps({
+        "model": {"variant": "h2l", "depth": 1, "heads": 2, "dim": 16,
+                  "n_patches": 16, "out_dim": 16},
+        "train": {"pairs_per_epoch": 16, "epochs": 1, "batch_size": 8}}))
+    out = tmp_path / "w.fvwt"
+    capsys.readouterr()
+    assert run("train-toy", "--config", str(conf), "--data", path, "--out", str(out)) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {cause}"]
+    assert not out.exists()
+
+
+# the two suites at a toy shape, called as `facevit bench` calls them
+_TOY_SUITES = {
+    "wallclock": lambda seed, reps: bench.run_wallclock(n_patches=16, d=8, k=4,
+                                                        reps=reps, seed=seed),
+    "scaling": lambda seed, reps: bench.run_scaling(ns=(16, 64), d=8, k=4, reps=reps, seed=seed),
+}
+
+
+@pytest.mark.parametrize("suite, brief, rows", [
+    pytest.param("wallclock", {"ratio_h2l_over_emd"}, 2 * 5, id="wallclock"),
+    pytest.param("scaling", {"slopes", "slope_gap"}, 2 * 2 * 5, id="scaling"),
+])
+def test_bench_writes_csv_json_and_brief(tmp_path, capsys, monkeypatch, suite, brief, rows):
+    monkeypatch.setattr(cli, "run_" + suite, _TOY_SUITES[suite])
+    out = tmp_path / "b.csv"
+    capsys.readouterr()
+    assert run("bench", "--suite", suite, "--out", str(out), "--reps", "5") == 0
+    lines = out.read_text().splitlines()
+    meta = [line for line in lines if line.startswith("#")]
+    assert [line.split("=", 1)[0] for line in meta] == [f"# {key}" for key in bench.env_metadata()]
+    body = list(csv.DictReader(lines[len(meta):]))
+    assert len(body) == rows and {r["kind"] for r in body} == {"h2l", "emd"}
+    assert [int(r["rep"]) for r in body] == list(range(5)) * (rows // 5)
+    summary = json.loads((tmp_path / "b.csv.json").read_text())
+    assert summary["suite"] == suite and "rows" not in summary and "meta" in summary
+    printed = json.loads(capsys.readouterr().out)
+    assert set(printed) == brief
+    assert all(printed[key] == summary[key] for key in brief)
+
+
 def test_missing_file_exits_one(tmp_path):
     assert run("rank", "--gallery", str(tmp_path / "nope.gallery"),
                "--queries", str(tmp_path / "nope.queries"),
@@ -184,15 +240,20 @@ def test_gen_synth_beyond_the_fveb_header_exits_one_with_one_error_line(tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flag", ["--query-idx", "--gallery-idx"])
-def test_explain_negative_index_exits_one(synth, tmp_path, capsys, flag):
-    idx = {"--query-idx": "0", "--gallery-idx": "1", flag: "-1"}
+@pytest.mark.parametrize("flag, value, n_records", [
+    pytest.param("--query-idx", "-1", 4, id="--query-idx"),
+    pytest.param("--gallery-idx", "-1", 12, id="--gallery-idx"),
+    # the query file holds 4 records
+    pytest.param("--query-idx", "99", 4, id="--query-idx-past-the-end"),
+])
+def test_explain_negative_index_exits_one(synth, tmp_path, capsys, flag, value, n_records):
+    idx = {"--query-idx": "0", "--gallery-idx": "1", flag: value}
     out = tmp_path / "h.csv"
     assert run("explain", "--gallery", synth + ".gallery", "--queries", synth + ".queries",
                "--query-idx", idx["--query-idx"], "--gallery-idx", idx["--gallery-idx"],
                "--out", str(out)) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "error: --query-idx and --gallery-idx must be >= 0"]
+        f"error: {flag} {value} is out of range for {n_records} records"]
     assert not out.exists()
 
 

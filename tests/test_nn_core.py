@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from facevit.autograd import Tensor, softmax
-from facevit.nn_core import (LayerParams, encoder_layer_t, grad_check, layer_norm_t,
-                             mlp_block_t, multi_head_attention_t)
+from facevit.nn_core import (encoder_layer_t, grad_check, layer_norm_t, mlp_block_t,
+                             multi_head_attention_t)
+
+HEADS = 2
 
 
-def make_layer(rng, d=8, heads=2, m=16):
+def make_layer(rng, d=8, m=16):
     def w(*shape):
         return rng.standard_normal(shape) * 0.2
-    return LayerParams(
-        heads=heads,
+    return dict(
         wq=w(d, d), bq=w(d), wk=w(d, d), bk=w(d), wv=w(d, d), bv=w(d),
         wo=w(d, d), bo=w(d), w1=w(d, m), b1=w(m), w2=w(m, d), b2=w(d),
         ln1_g=np.ones(d), ln1_b=np.zeros(d), ln2_g=np.ones(d), ln2_b=np.zeros(d))
@@ -48,7 +49,7 @@ def test_attention_rows_are_distributions():
     rng = np.random.default_rng(1)
     p = make_layer(rng)
     tokens = rng.standard_normal((5, 8))
-    out, attn = multi_head_attention_t(tokens, p)
+    out, attn = multi_head_attention_t(tokens, p, HEADS)
     assert out.shape == (5, 8)
     assert attn.shape == (2, 5, 5)
     np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
@@ -61,8 +62,8 @@ def test_attention_token_permutation_equivariance():
     p = make_layer(rng)
     tokens = rng.standard_normal((6, 8))
     perm = rng.permutation(6)
-    out1, _ = multi_head_attention_t(tokens, p)
-    out2, _ = multi_head_attention_t(tokens[perm], p)
+    out1, _ = multi_head_attention_t(tokens, p, HEADS)
+    out2, _ = multi_head_attention_t(tokens[perm], p, HEADS)
     np.testing.assert_allclose(out2.value, out1.value[perm], atol=1e-10)
 
 
@@ -72,19 +73,19 @@ def test_attention_keeps_batch_elements_apart_and_rejects_mismatched_input():
     p = make_layer(rng)
     x = rng.standard_normal((2, 4, 8))
     x[1] = np.nan
-    batch, _ = multi_head_attention_t(x, p)
-    alone, _ = multi_head_attention_t(x[:1], p)
+    batch, _ = multi_head_attention_t(x, p, HEADS)
+    alone, _ = multi_head_attention_t(x[:1], p, HEADS)
     np.testing.assert_array_equal(batch.value[0], alone.value[0])
     assert np.isnan(batch.value[1]).all()
     with pytest.raises(ValueError):
-        multi_head_attention_t(np.zeros((4, 7)), p)
+        multi_head_attention_t(np.zeros((4, 7)), p, HEADS)
 
 
 def test_mlp_block_matches_manual_composition():
     rng = np.random.default_rng(4)
     p = make_layer(rng)
     x = rng.standard_normal((3, 8))
-    manual = Tensor(x @ p.w1 + p.b1).gelu().value @ p.w2 + p.b2
+    manual = Tensor(x @ p["w1"] + p["b1"]).gelu().value @ p["w2"] + p["b2"]
     np.testing.assert_allclose(mlp_block_t(x, p).value, manual, atol=1e-12)
 
 
@@ -92,12 +93,10 @@ def test_encoder_layer_has_residual_on_both_sublayers():
     rng = np.random.default_rng(5)
     p = make_layer(rng)
     # zeroing the output projections must reduce the layer to the identity
-    p.wo = np.zeros_like(p.wo)
-    p.bo = np.zeros_like(p.bo)
-    p.w2 = np.zeros_like(p.w2)
-    p.b2 = np.zeros_like(p.b2)
+    for name in ("wo", "bo", "w2", "b2"):
+        p[name] = np.zeros_like(p[name])
     z = Tensor(rng.standard_normal((4, 8)))
-    out, _ = encoder_layer_t(z, p)
+    out, _ = encoder_layer_t(z, p, HEADS)
     np.testing.assert_allclose(out.value, z.value, atol=1e-12)
 
 

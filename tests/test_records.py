@@ -2,6 +2,7 @@
 
 import mmap
 import os
+import struct
 import subprocess
 import sys
 import textwrap
@@ -16,7 +17,7 @@ from facevit.emd import build_flow_problem, sinkhorn
 from facevit.explain import cc_heatmap
 from facevit.model import ModelConfig, Variant, init_random, score_pair_h2l
 from facevit.records import (_READ_BYTES, DEFAULT_DIM, BadMagicError, FaceRecord,
-                             Gallery, Occlusion, RecordSet, SynthConfig,
+                             Gallery, GalleryFormatError, Occlusion, RecordSet, SynthConfig,
                              TruncatedFileError, VersionMismatchError, atomic_write,
                              generate_synthetic, load_gallery, load_queries,
                              occluded_patch_indices, occluded_rows, save_records)
@@ -302,7 +303,15 @@ def test_non_finite_patch_in_file_rejected(tmp_path, n_identities, record, offse
     at = 14 + (record % len(g)) * _SMALL_RECORD_BYTES + offset
     data[at:at + len(value)] = value
     path.write_bytes(bytes(data))
-    with pytest.raises(ValueError):
+    with pytest.raises(GalleryFormatError):
+        load_gallery(path)
+
+
+def test_non_square_grid_in_file_rejected(tmp_path):
+    path = tmp_path / "g"
+    # version 2, dim 1, 3 patches, 0 records
+    path.write_bytes(b"FVEB" + struct.pack("<HHHI", 2, 1, 3, 0))
+    with pytest.raises(GalleryFormatError, match="3 patches do not form a square grid"):
         load_gallery(path)
 
 
